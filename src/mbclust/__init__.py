@@ -29,7 +29,7 @@ from .core import (
     run,
     select_drop,
 )
-from .dataset import Dataset, DatasetView, load_csv
+from .dataset import Dataset, load_csv
 from .errors import CsvError, DegenerateDataError, MbcError
 from .evaluation import ContingencyTable, contingency, misclassified, purity
 from .importance import (
@@ -42,13 +42,11 @@ from .importance import (
     ppp,
 )
 from .similarity import (
-    InfluenceMatrix,
     SimilarityMatrix,
     build_sm,
     condensed_index,
     count_matches,
     goodall,
-    influence,
     lin,
     overlap,
     pairwise_matrix,
@@ -62,11 +60,9 @@ __all__ = [
     "ClusteringState",
     "ContingencyTable",
     "Dataset",
-    "DatasetView",
     "DegenerateDataError",
     "Dendrogram",
     "ImportanceReport",
-    "InfluenceMatrix",
     "IterationRecord",
     "IMPORTANCE_PGP",
     "IMPORTANCE_PPP",
@@ -90,7 +86,6 @@ __all__ = [
     "goodall",
     "group_matching",
     "importance_report",
-    "influence",
     "initial_state",
     "lin",
     "load_csv",

@@ -10,10 +10,9 @@ singleton clusters.
 
 An optional containment rule keeps already-formed clusters from
 absorbing each other: when two multi-member clusters reach full
-agreement, every full-agreement link touching them is severed for that
-round. This trades dendrogram structure for cluster stability, so
-results produced with the rule enabled cannot be cut at a chosen
-cluster count.
+agreement, they are frozen for that round and merge with nothing. This
+trades dendrogram structure for cluster stability, so results produced
+with the rule enabled cannot be cut at a chosen cluster count.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateDataError, MbcError
 from .importance import ImportanceReport, importance_report, pgp2
-from .similarity import SimilarityMatrix, build_sm, condensed_index
+from .similarity import build_sm
 
 IMPORTANCE_PGP = "pgp"
 IMPORTANCE_PPP = "ppp"
@@ -102,16 +101,16 @@ class ClusteringState:
     ``entities`` are the current clusters as ascending member tuples,
     ordered by smallest member. ``profiles`` holds one code row per
     entity over the remaining features; ``remaining_features`` maps its
-    columns back to original feature indices. ``sm`` is the match-count
-    matrix over the entities (its entries may have been severed by the
-    containment rule).
+    columns back to original feature indices. ``frozen`` holds the
+    indices of entities that the containment rule keeps from merging
+    this round.
     """
 
     entities: tuple[tuple[int, ...], ...]
     profiles: np.ndarray
     remaining_features: tuple[int, ...]
-    sm: SimilarityMatrix
     iteration: int = 0
+    frozen: frozenset[int] = frozenset()
 
     def __post_init__(self):
         e = len(self.entities)
@@ -120,10 +119,8 @@ class ClusteringState:
                 f"profiles shape {self.profiles.shape} does not match "
                 f"{e} entities x {len(self.remaining_features)} features"
             )
-        if self.sm.size != e:
-            raise ValueError(f"similarity matrix covers {self.sm.size} entities, state has {e}")
-        if self.sm.theta != len(self.remaining_features):
-            raise ValueError(f"similarity matrix counts {self.sm.theta} features, state keeps {len(self.remaining_features)}")
+        if any(not 0 <= idx < e for idx in self.frozen):
+            raise ValueError(f"frozen entity indices {sorted(self.frozen)} outside 0..{e - 1}")
 
     @property
     def theta(self) -> int:
@@ -145,117 +142,64 @@ def initial_state(data) -> ClusteringState:
         entities=tuple((i,) for i in range(n)),
         profiles=codes,
         remaining_features=tuple(range(m)),
-        sm=build_sm(codes),
-        iteration=0,
     )
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+def _profile_groups(state: ClusteringState) -> np.ndarray:
+    """Per entity, the id of its group of identical profiles."""
+    _, group = np.unique(state.profiles, axis=0, return_inverse=True)
+    return group.reshape(-1)
 
 
 def group_matching(state: ClusteringState) -> ClusteringState:
     """Merge every entity group in full agreement on the remaining features.
 
-    Full agreement is transitive (it means identical profiles), so the
-    merged groups are the connected components of the pairs whose match
-    count equals ``theta``; any pairwise merge order gives the same
-    result. Returns the input state unchanged when nothing matches.
+    Full agreement means identical profiles, so the merged groups are the
+    groups of identical profile rows and the merge order is irrelevant.
+    Frozen entities stay apart. Returns the input state unchanged when
+    nothing merges.
     """
     e = len(state.entities)
     if e < 2:
         return state
-    hits = np.flatnonzero(state.sm.values == state.theta)
-    if hits.size == 0:
+    group = _profile_groups(state).tolist()
+    for idx in state.frozen:
+        group[idx] = -1 - idx  # a group of its own
+    by_group: dict[int, list[int]] = {}
+    for idx, g in enumerate(group):
+        by_group.setdefault(g, []).append(idx)
+    if len(by_group) == e:
         return state
 
-    ii, jj = np.triu_indices(e, k=1)
-    uf = _UnionFind(e)
-    for i, j in zip(ii[hits], jj[hits]):
-        uf.union(int(i), int(j))
-
-    by_root: dict[int, list[int]] = {}
-    for idx in range(e):
-        by_root.setdefault(uf.find(idx), []).append(idx)
-    # Entities are ordered by smallest member, so ordering components by
-    # their smallest old index preserves that invariant after merging.
-    components = sorted(by_root.values(), key=lambda comp: comp[0])
-
+    # Entities are ordered by smallest member, and components come in
+    # order of their smallest old index, which preserves that invariant.
+    components = list(by_group.values())
     entities = tuple(
         tuple(sorted(m for idx in comp for m in state.entities[idx])) for comp in components
     )
-    reps = np.array([comp[0] for comp in components], dtype=np.int64)
-    profiles = state.profiles[reps, :].copy()
-
-    k = len(components)
-    if k >= 2:
-        # Members of a component share one profile, and any surviving
-        # full-agreement entry joins its endpoints, so every cross pair of
-        # two components carries one value; read it off the representatives.
-        ni, nj = np.triu_indices(k, k=1)
-        old_i = reps[ni]
-        old_j = reps[nj]
-        values = state.sm.values[condensed_index(e, np.minimum(old_i, old_j), np.maximum(old_i, old_j))]
-    else:
-        values = np.zeros(0, dtype=np.int64)
-    values.setflags(write=False)
-    sm = SimilarityMatrix(size=k, values=values, theta=state.theta)
-
-    return replace(state, entities=entities, profiles=profiles, sm=sm)
+    profiles = state.profiles[[comp[0] for comp in components], :]
+    return replace(state, entities=entities, profiles=profiles, frozen=frozenset())
 
 
 def anti_merge_update(state: ClusteringState) -> ClusteringState:
-    """Sever full-agreement links around colliding clusters.
+    """Freeze colliding clusters for the next round.
 
-    When two multi-member clusters agree on every remaining feature,
-    both are frozen for the next round: every entry equal to ``theta``
-    in their rows and columns, including links to singletons, is zeroed.
-    Returns the input state unchanged when no such collision exists.
+    When two or more multi-member clusters agree on every remaining
+    feature, all of them are frozen: :func:`group_matching` merges them
+    neither with each other nor with the singletons of their profile
+    group, while those singletons still merge among themselves. Returns
+    the input state unchanged when no new entity is frozen.
     """
-    e = len(state.entities)
-    if e < 2:
-        return state
-    values = state.sm.values
-    theta_hits = values == state.theta
-    if not theta_hits.any():
-        return state
-
     is_cluster = np.array([len(ent) > 1 for ent in state.entities], dtype=bool)
-    ii, jj = np.triu_indices(e, k=1)
-    triggering = theta_hits & is_cluster[ii] & is_cluster[jj]
-    if not triggering.any():
+    if is_cluster.sum() < 2:
         return state
-
-    marked = np.zeros(e, dtype=bool)
-    marked[ii[triggering]] = True
-    marked[jj[triggering]] = True
-    new_values = values.copy()
-    new_values[theta_hits & (marked[ii] | marked[jj])] = 0
-    new_values.setflags(write=False)
-    sm = SimilarityMatrix(size=e, values=new_values, theta=state.sm.theta)
-    return replace(state, sm=sm)
+    group = _profile_groups(state)
+    clusters_per_group = np.bincount(group[is_cluster], minlength=group.max() + 1)
+    colliding = np.flatnonzero(is_cluster & (clusters_per_group[group] >= 2))
+    frozen = state.frozen | {int(idx) for idx in colliding}
+    if frozen == state.frozen:
+        return state
+    return replace(state, frozen=frozen)
 
 
 def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcConfig) -> tuple[int, ...]:
@@ -284,8 +228,6 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
     if config.tie_policy == TIES_DROP_ALL or len(tied) == 1:
         chosen = tied
     else:
-        # Score each tied candidate on an unsevered match-count matrix;
-        # severed entries would make the no-drop baseline fall below 1.
         sm = build_sm(state.profiles)
         best_pos = tied[0]
         best_score: Fraction | None = None
@@ -333,7 +275,7 @@ class Dendrogram:
 
     ``levels[0]`` is the all-singleton partition; ``levels[p + 1]`` is
     the partition after iteration ``p``. ``anti_merge_used`` records
-    whether the containment rule actually severed a link, in which case
+    whether the containment rule actually froze a cluster, in which case
     the recorded structure understates the merges and must not be cut.
     """
 
@@ -455,10 +397,9 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
 
     Each iteration ranks the remaining features over the current
     entities, merges all fully agreeing entities, and removes the least
-    important features; the match-count matrix is then rebuilt over the
-    kept columns, which matches the incremental update exactly. With
-    ``config.k`` set, the returned partition is the dendrogram level
-    closest to ``k`` clusters instead of the loop's final state.
+    important features. With ``config.k`` set, the returned partition is
+    the dendrogram level closest to ``k`` clusters instead of the loop's
+    final state.
     """
     config = (config or MbcConfig()).validated()
     if not hasattr(data, "codes_matrix"):
@@ -525,14 +466,13 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
             entities=grouped.entities,
             profiles=profiles,
             remaining_features=remaining,
-            sm=build_sm(profiles),
             iteration=grouped.iteration + 1,
         )
         if config.anti_merge:
-            severed = anti_merge_update(state)
-            if severed is not state:
+            frozen = anti_merge_update(state)
+            if frozen is not state:
                 anti_merge_used = True
-                state = severed
+                state = frozen
 
     dendrogram = Dendrogram(
         n_leaves=n,

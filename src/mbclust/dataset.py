@@ -2,16 +2,13 @@
 
 A :class:`Dataset` stores one integer code per cell, a per-feature code book
 (categories in first-appearance order) and per-feature category frequencies.
-Feature subsets are exposed as lightweight :class:`DatasetView` objects that
-share the underlying cell storage. Both kinds of object are immutable after
-construction and safe for concurrent reads.
+A dataset is immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -78,8 +75,11 @@ class Dataset:
     def from_codes(cls, codes, feature_names=None, category_labels=None, labels=None) -> "Dataset":
         """Build a dataset straight from an integer code matrix.
 
-        Names and category labels are synthesized when omitted
-        (features ``f0..``, categories ``c0..``).
+        Feature names are synthesized when omitted (``f0..``). When the
+        category labels are omitted, each column is re-encoded to the
+        codes ``0..k-1`` of its ``k`` distinct values in ascending order,
+        and each category is labeled ``c`` followed by its original code,
+        so cost depends on the matrix size and not on the code values.
         """
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2:
@@ -88,9 +88,12 @@ class Dataset:
         if feature_names is None:
             feature_names = tuple(f"f{i}" for i in range(m))
         if category_labels is None:
-            category_labels = tuple(
-                tuple(f"c{c}" for c in range(int(codes[:, i].max()) + 1)) for i in range(m)
-            )
+            compact = np.empty_like(codes)
+            category_labels = []
+            for i in range(m):
+                values, compact[:, i] = np.unique(codes[:, i], return_inverse=True)
+                category_labels.append(tuple(f"c{c}" for c in values))
+            codes = compact
         return cls(codes, feature_names, category_labels, labels)
 
     # -- basic shape ----------------------------------------------------
@@ -104,11 +107,6 @@ class Dataset:
     def m(self) -> int:
         """Number of features."""
         return self.cells.shape[1]
-
-    @property
-    def features(self) -> tuple[int, ...]:
-        """Feature indices exposed by this object (all of them)."""
-        return tuple(range(self.m))
 
     @property
     def codes_matrix(self) -> np.ndarray:
@@ -162,95 +160,8 @@ class Dataset:
             raise IndexError(f"feature index {feature} out of range 0..{self.m - 1}")
         return feature
 
-    # -- views ------------------------------------------------------------
-
-    def restrict(self, keep_features: Iterable[int]) -> "DatasetView":
-        """Logical view exposing only the given features (original indices)."""
-        return DatasetView(self, keep_features)
-
-    def view(self) -> "DatasetView":
-        """View over all features."""
-        return DatasetView(self, range(self.m))
-
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, m={self.m})"
-
-
-class DatasetView:
-    """Read-only projection of a :class:`Dataset` onto a feature subset.
-
-    Exposes the same lookup surface as ``Dataset`` with feature indices
-    local to the view (``0..m-1``); ``features`` maps back to the base
-    dataset's indices. Frequencies are delegated to the base dataset,
-    so restricting features never changes the counts of kept features.
-    """
-
-    def __init__(self, base: Dataset, features: Iterable[int]):
-        feats = tuple(sorted({int(f) for f in features}))
-        if not feats:
-            raise ValueError("keep_features must be nonempty")
-        if feats[0] < 0 or feats[-1] >= base.m:
-            raise IndexError(f"feature index out of range 0..{base.m - 1}")
-        self.base = base
-        self.features = feats
-        self.feature_names = tuple(base.feature_names[f] for f in feats)
-        self._codes = base.cells[:, feats]
-        self._codes.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def m(self) -> int:
-        return len(self.features)
-
-    @property
-    def labels(self):
-        return self.base.labels
-
-    @property
-    def codes_matrix(self) -> np.ndarray:
-        return self._codes
-
-    def feature_index(self, name: str) -> int:
-        try:
-            return self.feature_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown feature {name!r}") from None
-
-    def categories(self, feature: int) -> tuple[str, ...]:
-        return self.base.categories(self._base_index(feature))
-
-    def code_of(self, feature: int, label: str) -> int:
-        return self.base.code_of(self._base_index(feature), label)
-
-    def frequency(self, feature: int, category: int) -> int:
-        return self.base.frequency(self._base_index(feature), category)
-
-    def frequencies_for(self, feature: int) -> np.ndarray:
-        return self.base.frequencies_for(self._base_index(feature))
-
-    def column(self, feature: int) -> np.ndarray:
-        return self._codes[:, self._check_feature(feature)]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._codes[i])
-
-    def restrict(self, keep_features: Iterable[int]) -> "DatasetView":
-        """Narrow further; indices are local to this view."""
-        return DatasetView(self.base, (self._base_index(f) for f in keep_features))
-
-    def _check_feature(self, feature: int) -> int:
-        if not 0 <= feature < self.m:
-            raise IndexError(f"feature index {feature} out of range 0..{self.m - 1}")
-        return feature
-
-    def _base_index(self, feature: int) -> int:
-        return self.features[self._check_feature(feature)]
-
-    def __repr__(self) -> str:
-        return f"DatasetView(n={self.n}, m={self.m}, features={self.features})"
 
 
 def load_csv(path, label_column: str | None = None, missing_policy: str = MISSING_REJECT) -> Dataset:

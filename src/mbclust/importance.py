@@ -9,7 +9,7 @@ Three rankings are provided:
   for features that tell objects apart.
 * ``pgp2``: a second-stage score used to break ties. It asks how much of
   the pairwise similarity structure survives when a candidate feature
-  set is removed, as a ratio of marked pairs in the influence mask.
+  set is removed, as a ratio of pairs whose match count exceeds a threshold.
 
 All scores are :class:`fractions.Fraction` so that equality of
 importances is decidable exactly; ties drive the clustering loop's
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateDataError
-from .similarity import SimilarityMatrix, build_sm, influence, update_sm_after_drop
+from .similarity import SimilarityMatrix, build_sm, update_sm_after_drop
 
 
 def match_pair_counts(codes) -> np.ndarray:
@@ -118,7 +118,7 @@ def ppp(data) -> tuple[Fraction, ...]:
 def pgp2_counts(data, sm: SimilarityMatrix, candidates: Iterable[int], alpha: float = 0.0) -> tuple[int, int]:
     """Marked-pair counts (after drop, before drop) behind :func:`pgp2`."""
     codes = np.asarray(getattr(data, "codes_matrix", data), dtype=np.int64)
-    gim = influence(sm, alpha).ones
+    gim = int((sm.values > alpha).sum())
     drop = sorted({int(c) for c in candidates})
     if not drop:
         return gim, gim
@@ -126,7 +126,7 @@ def pgp2_counts(data, sm: SimilarityMatrix, candidates: Iterable[int], alpha: fl
         # Dropping everything leaves no matches at all.
         return 0, gim
     reduced = update_sm_after_drop(sm, codes, drop)
-    pim = influence(reduced, alpha).ones
+    pim = int((reduced.values > alpha).sum())
     return pim, gim
 
 

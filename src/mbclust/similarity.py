@@ -206,27 +206,6 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
     return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta - len(drop))
 
 
-@dataclass(frozen=True, eq=False)
-class InfluenceMatrix:
-    """Boolean mask over the condensed triangle: pairs above a threshold."""
-
-    size: int
-    bits: np.ndarray
-    alpha: float
-
-    @property
-    def ones(self) -> int:
-        """Number of marked pairs."""
-        return int(self.bits.sum())
-
-
-def influence(sm: SimilarityMatrix, alpha: float = 0.0) -> InfluenceMatrix:
-    """Mark every pair whose match count exceeds ``alpha``."""
-    bits = sm.values > alpha
-    bits.setflags(write=False)
-    return InfluenceMatrix(size=sm.size, bits=bits, alpha=alpha)
-
-
 def pairwise_matrix(data, measure: str) -> np.ndarray:
     """Full square similarity matrix of a dataset under a named measure.
 

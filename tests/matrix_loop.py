@@ -1,0 +1,347 @@
+"""Reference implementation of the clustering loop on a match-count matrix.
+
+This is the loop as it stood before the library switched to grouping
+entities by profile identity: every round rebuilds the full e x e
+match-count matrix, merges the connected components of its
+full-agreement pairs with a union-find, and enforces the containment
+rule by severing full-agreement entries in the matrix. It is kept
+verbatim, with only its imports adapted, so that property tests can
+check the library's loop against it under every configuration.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+import numpy as np
+
+from mbclust import (
+    IMPORTANCE_PPP,
+    POPULATION_ORIGINAL,
+    STOP_ALL_CLUSTERED,
+    STOP_TIED_IMPORTANCE,
+    TIES_DROP_ALL,
+    Dataset,
+    DegenerateDataError,
+    Dendrogram,
+    ImportanceReport,
+    IterationRecord,
+    MbcConfig,
+    MbcResult,
+    MergeEvent,
+    SimilarityMatrix,
+    build_sm,
+    condensed_index,
+    cut_at_k,
+    importance_report,
+    pgp2,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class ClusteringState:
+    """Snapshot of the loop between iterations.
+
+    ``entities`` are the current clusters as ascending member tuples,
+    ordered by smallest member. ``profiles`` holds one code row per
+    entity over the remaining features; ``remaining_features`` maps its
+    columns back to original feature indices. ``sm`` is the match-count
+    matrix over the entities (its entries may have been severed by the
+    containment rule).
+    """
+
+    entities: tuple[tuple[int, ...], ...]
+    profiles: np.ndarray
+    remaining_features: tuple[int, ...]
+    sm: SimilarityMatrix
+    iteration: int = 0
+
+    def __post_init__(self):
+        e = len(self.entities)
+        if self.profiles.shape != (e, len(self.remaining_features)):
+            raise ValueError(
+                f"profiles shape {self.profiles.shape} does not match "
+                f"{e} entities x {len(self.remaining_features)} features"
+            )
+        if self.sm.size != e:
+            raise ValueError(f"similarity matrix covers {self.sm.size} entities, state has {e}")
+        if self.sm.theta != len(self.remaining_features):
+            raise ValueError(f"similarity matrix counts {self.sm.theta} features, state keeps {len(self.remaining_features)}")
+
+    @property
+    def theta(self) -> int:
+        """Number of remaining features; the full-agreement match count."""
+        return len(self.remaining_features)
+
+    def partition(self) -> tuple[tuple[int, ...], ...]:
+        """Current clusters as member tuples."""
+        return self.entities
+
+
+def initial_state(data) -> ClusteringState:
+    """All-singleton state over a dataset or raw code matrix."""
+    codes = np.array(getattr(data, "codes_matrix", data), dtype=np.int64)
+    if codes.ndim != 2:
+        raise ValueError("data must form a 2-D code matrix")
+    n, m = codes.shape
+    return ClusteringState(
+        entities=tuple((i,) for i in range(n)),
+        profiles=codes,
+        remaining_features=tuple(range(m)),
+        sm=build_sm(codes),
+        iteration=0,
+    )
+
+
+class _UnionFind:
+    """Disjoint sets over 0..n-1 with path compression and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def group_matching(state: ClusteringState) -> ClusteringState:
+    """Merge every entity group in full agreement on the remaining features.
+
+    Full agreement is transitive (it means identical profiles), so the
+    merged groups are the connected components of the pairs whose match
+    count equals ``theta``; any pairwise merge order gives the same
+    result. Returns the input state unchanged when nothing matches.
+    """
+    e = len(state.entities)
+    if e < 2:
+        return state
+    hits = np.flatnonzero(state.sm.values == state.theta)
+    if hits.size == 0:
+        return state
+
+    ii, jj = np.triu_indices(e, k=1)
+    uf = _UnionFind(e)
+    for i, j in zip(ii[hits], jj[hits]):
+        uf.union(int(i), int(j))
+
+    by_root: dict[int, list[int]] = {}
+    for idx in range(e):
+        by_root.setdefault(uf.find(idx), []).append(idx)
+    # Entities are ordered by smallest member, so ordering components by
+    # their smallest old index preserves that invariant after merging.
+    components = sorted(by_root.values(), key=lambda comp: comp[0])
+
+    entities = tuple(
+        tuple(sorted(m for idx in comp for m in state.entities[idx])) for comp in components
+    )
+    reps = np.array([comp[0] for comp in components], dtype=np.int64)
+    profiles = state.profiles[reps, :].copy()
+
+    k = len(components)
+    if k >= 2:
+        # Members of a component share one profile, and any surviving
+        # full-agreement entry joins its endpoints, so every cross pair of
+        # two components carries one value; read it off the representatives.
+        ni, nj = np.triu_indices(k, k=1)
+        old_i = reps[ni]
+        old_j = reps[nj]
+        values = state.sm.values[condensed_index(e, np.minimum(old_i, old_j), np.maximum(old_i, old_j))]
+    else:
+        values = np.zeros(0, dtype=np.int64)
+    values.setflags(write=False)
+    sm = SimilarityMatrix(size=k, values=values, theta=state.theta)
+
+    return replace(state, entities=entities, profiles=profiles, sm=sm)
+
+
+def anti_merge_update(state: ClusteringState) -> ClusteringState:
+    """Sever full-agreement links around colliding clusters.
+
+    When two multi-member clusters agree on every remaining feature,
+    both are frozen for the next round: every entry equal to ``theta``
+    in their rows and columns, including links to singletons, is zeroed.
+    Returns the input state unchanged when no such collision exists.
+    """
+    e = len(state.entities)
+    if e < 2:
+        return state
+    values = state.sm.values
+    theta_hits = values == state.theta
+    if not theta_hits.any():
+        return state
+
+    is_cluster = np.array([len(ent) > 1 for ent in state.entities], dtype=bool)
+    ii, jj = np.triu_indices(e, k=1)
+    triggering = theta_hits & is_cluster[ii] & is_cluster[jj]
+    if not triggering.any():
+        return state
+
+    marked = np.zeros(e, dtype=bool)
+    marked[ii[triggering]] = True
+    marked[jj[triggering]] = True
+    new_values = values.copy()
+    new_values[theta_hits & (marked[ii] | marked[jj])] = 0
+    new_values.setflags(write=False)
+    sm = SimilarityMatrix(size=e, values=new_values, theta=state.sm.theta)
+    return replace(state, sm=sm)
+
+
+def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcConfig) -> tuple[int, ...]:
+    """Original indices of the features to remove this iteration.
+
+    The least important features are the ones with the smallest raw
+    pair count under the configured measure. An empty result signals
+    termination: either all remaining features are equally important or
+    the policy would have to drop every one of them. Under the
+    ``pgp2-single`` policy a tie is broken in favor of the candidate
+    whose removal preserves the largest share of marked similarity
+    pairs, scored over the current entity profiles; any leftover tie
+    falls to the lowest feature index.
+    """
+    if config.importance_measure == IMPORTANCE_PPP:
+        numerators = report.mismatch_pairs
+    else:
+        numerators = report.match_pairs
+    if len(numerators) != state.theta:
+        raise ValueError(f"report covers {len(numerators)} features, state keeps {state.theta}")
+    lowest = min(numerators)
+    if lowest == max(numerators):
+        return ()
+    tied = [pos for pos, v in enumerate(numerators) if v == lowest]
+
+    if config.tie_policy == TIES_DROP_ALL or len(tied) == 1:
+        chosen = tied
+    else:
+        # Score each tied candidate on an unsevered match-count matrix;
+        # severed entries would make the no-drop baseline fall below 1.
+        sm = build_sm(state.profiles)
+        best_pos = tied[0]
+        best_score: Fraction | None = None
+        for pos in tied:
+            try:
+                score = pgp2(state.profiles, sm=sm, candidates=(pos,), alpha=config.alpha)
+            except DegenerateDataError:
+                break
+            if best_score is None or score > best_score:
+                best_score = score
+                best_pos = pos
+        chosen = [best_pos]
+    if len(chosen) >= state.theta:
+        return ()
+    return tuple(state.remaining_features[pos] for pos in chosen)
+
+
+def run(data, config: MbcConfig | None = None) -> MbcResult:
+    """Cluster a dataset (or raw code matrix) and return the full result.
+
+    Each iteration ranks the remaining features over the current
+    entities, merges all fully agreeing entities, and removes the least
+    important features; the match-count matrix is then rebuilt over the
+    kept columns, which matches the incremental update exactly. With
+    ``config.k`` set, the returned partition is the dendrogram level
+    closest to ``k`` clusters instead of the loop's final state.
+    """
+    config = (config or MbcConfig()).validated()
+    if not hasattr(data, "codes_matrix"):
+        data = Dataset.from_codes(np.asarray(data, dtype=np.int64))
+
+    state = initial_state(data)
+    n = len(state.entities)
+    levels: list[tuple[tuple[int, ...], ...]] = [state.partition()]
+    merge_events: list[MergeEvent] = []
+    trace: list[IterationRecord] = []
+    node_ids = list(range(n))
+    next_node = n
+    anti_merge_used = False
+
+    while True:
+        names = tuple(data.feature_names[f] for f in state.remaining_features)
+        if config.importance_population == POPULATION_ORIGINAL:
+            population = data.codes_matrix[:, state.remaining_features]
+        else:
+            population = state.profiles
+        report = importance_report(population, feature_names=names)
+
+        grouped = group_matching(state)
+        if grouped is not state:
+            member_to_old = {m: oi for oi, ent in enumerate(state.entities) for m in ent}
+            new_node_ids = []
+            for ent in grouped.entities:
+                olds = sorted({member_to_old[m] for m in ent})
+                if len(olds) == 1:
+                    new_node_ids.append(node_ids[olds[0]])
+                    continue
+                merge_events.append(
+                    MergeEvent(
+                        iteration=state.iteration,
+                        parent=next_node,
+                        children=tuple(node_ids[oi] for oi in olds),
+                        members=ent,
+                    )
+                )
+                new_node_ids.append(next_node)
+                next_node += 1
+            node_ids = new_node_ids
+        levels.append(grouped.partition())
+
+        if all(len(ent) >= 2 for ent in grouped.entities):
+            trace.append(IterationRecord(state.iteration, state.theta, names, report, ()))
+            state = grouped
+            stop_reason = STOP_ALL_CLUSTERED
+            break
+
+        dropped_ids = select_drop(grouped, report, config)
+        dropped_names = tuple(data.feature_names[f] for f in dropped_ids)
+        trace.append(IterationRecord(state.iteration, state.theta, names, report, dropped_names))
+        if not dropped_ids:
+            state = grouped
+            stop_reason = STOP_TIED_IMPORTANCE
+            break
+
+        drop_set = set(dropped_ids)
+        kept_positions = [pos for pos, f in enumerate(grouped.remaining_features) if f not in drop_set]
+        remaining = tuple(grouped.remaining_features[pos] for pos in kept_positions)
+        profiles = grouped.profiles[:, kept_positions].copy()
+        state = ClusteringState(
+            entities=grouped.entities,
+            profiles=profiles,
+            remaining_features=remaining,
+            sm=build_sm(profiles),
+            iteration=grouped.iteration + 1,
+        )
+        if config.anti_merge:
+            severed = anti_merge_update(state)
+            if severed is not state:
+                anti_merge_used = True
+                state = severed
+
+    dendrogram = Dendrogram(
+        n_leaves=n,
+        levels=tuple(levels),
+        merge_events=tuple(merge_events),
+        anti_merge_used=anti_merge_used,
+    )
+    partition = cut_at_k(dendrogram, config.k) if config.k is not None else state.partition()
+    return MbcResult(
+        partition=partition,
+        dendrogram=dendrogram,
+        trace=tuple(trace),
+        config=config,
+        stop_reason=stop_reason,
+    )

@@ -40,8 +40,9 @@ SM_A_AFTER_FIRST_DROP = np.array([
 # features A and B only: {0,1,2,3}, {4,6,9}, {5,7}, {8}.
 SM_A_AFTER_SECOND_DROP = np.array([0, 0, 0, 2, 2, 2], dtype=np.int64)
 
-# The same matrix after the containment rule fires on the {4,6,9}/{5,7}
-# collision: every full-agreement entry touching them is severed.
+# The same matrix after the matrix-based containment rule (the reference
+# loop in matrix_loop.py) fires on the {4,6,9}/{5,7} collision: every
+# full-agreement entry touching them is severed.
 SM_A_SEVERED = np.zeros(6, dtype=np.int64)
 
 # Matching-pair counts per feature over the 10 objects:

@@ -33,6 +33,7 @@ from mbclust import (
     run,
     update_sm_after_drop,
 )
+import matrix_loop
 from conftest import ACCEPTANCE_LINES, SOYBEAN_CSV, random_codes
 from oracles import (
     GOODALL_HALF,
@@ -55,8 +56,18 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def _drop(state: ClusteringState, original_ids) -> ClusteringState:
     keep = [p for p, f in enumerate(state.remaining_features) if f not in set(original_ids)]
-    profiles = state.profiles[:, keep].copy()
     return ClusteringState(
+        entities=state.entities,
+        profiles=state.profiles[:, keep].copy(),
+        remaining_features=tuple(state.remaining_features[p] for p in keep),
+        iteration=state.iteration + 1,
+    )
+
+
+def _matrix_drop(state: matrix_loop.ClusteringState, original_ids) -> matrix_loop.ClusteringState:
+    keep = [p for p, f in enumerate(state.remaining_features) if f not in set(original_ids)]
+    profiles = state.profiles[:, keep].copy()
+    return matrix_loop.ClusteringState(
         entities=state.entities,
         profiles=profiles,
         remaining_features=tuple(state.remaining_features[p] for p in keep),
@@ -120,9 +131,9 @@ def test_c4_worked_trace(dataset_a):
     # replay the loop's states through the public pieces
     grouped0 = group_matching(initial_state(dataset_a))
     state1 = _drop(grouped0, {4})
-    if not np.array_equal(state1.sm.values, SM_A_AFTER_FIRST_DROP):
+    if not np.array_equal(build_sm(state1.profiles).values, SM_A_AFTER_FIRST_DROP):
         problems.append("8-entity matrix after the first drop is wrong")
-    incremental = update_sm_after_drop(grouped0.sm, grouped0.profiles, [4])
+    incremental = update_sm_after_drop(build_sm(grouped0.profiles), grouped0.profiles, [4])
     if not np.array_equal(incremental.values, SM_A_AFTER_FIRST_DROP):
         problems.append("incremental update disagrees with the 8-entity matrix")
 
@@ -130,15 +141,25 @@ def test_c4_worked_trace(dataset_a):
     if grouped1.entities != ((0, 1, 2, 3), (4, 6, 9), (5, 7), (8,)):
         problems.append(f"second-round clusters {grouped1.entities}")
 
-    severed = anti_merge_update(_drop(grouped1, {2, 3}))
+    # the matrix reference severs every link of the colliding clusters ...
+    matrix1 = matrix_loop.group_matching(
+        _matrix_drop(matrix_loop.group_matching(matrix_loop.initial_state(dataset_a)), {4}))
+    severed = matrix_loop.anti_merge_update(_matrix_drop(matrix1, {2, 3}))
     if not np.array_equal(severed.sm.values, SM_A_SEVERED):
         problems.append(f"post-severing matrix {severed.sm.values.tolist()} is not all zeros")
+    # ... and the library freezes exactly those clusters, so nothing merges
+    frozen = anti_merge_update(_drop(grouped1, {2, 3}))
+    frozen_clusters = {frozen.entities[idx] for idx in frozen.frozen}
+    if frozen_clusters != {(4, 6, 9), (5, 7)}:
+        problems.append(f"frozen clusters {sorted(frozen_clusters)} != [(4, 6, 9), (5, 7)]")
+    if group_matching(frozen) is not frozen:
+        problems.append("grouping merged entities while the colliding clusters were frozen")
 
     if result.partition != PARTITION_A:
         problems.append(f"final partition {result.partition} != {PARTITION_A}")
 
     _report(4, not problems,
-            "merges, intermediate matrices, severing, and final 4-cluster partition all reproduced"
+            "merges, intermediate matrices, severing and freezing, and final 4-cluster partition all reproduced"
             if not problems else "; ".join(problems))
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mbclust.core
+import mbclust.importance
 from mbclust import (
     ClusteringState,
     Dendrogram,
@@ -25,7 +27,6 @@ from oracles import (
     PARTITION_A,
     SM_A_AFTER_FIRST_DROP,
     SM_A_AFTER_SECOND_DROP,
-    SM_A_SEVERED,
 )
 
 
@@ -38,7 +39,6 @@ def drop_features(state: ClusteringState, original_ids) -> ClusteringState:
         entities=state.entities,
         profiles=profiles,
         remaining_features=tuple(state.remaining_features[p] for p in kept),
-        sm=build_sm(profiles),
         iteration=state.iteration + 1,
     )
 
@@ -78,7 +78,8 @@ def test_initial_state(dataset_a):
     assert state.entities == tuple((i,) for i in range(10))
     assert state.theta == 5
     assert state.remaining_features == (0, 1, 2, 3, 4)
-    assert np.array_equal(state.sm.values, build_sm(dataset_a.codes_matrix).values)
+    assert np.array_equal(state.profiles, dataset_a.codes_matrix)
+    assert state.frozen == frozenset()
 
 
 def test_state_validation(dataset_a):
@@ -88,14 +89,19 @@ def test_state_validation(dataset_a):
             entities=state.entities,
             profiles=state.profiles[:, :4],
             remaining_features=state.remaining_features,
-            sm=state.sm,
         )
     with pytest.raises(ValueError):
         ClusteringState(
             entities=state.entities[:9],
             profiles=state.profiles,
             remaining_features=state.remaining_features,
-            sm=state.sm,
+        )
+    with pytest.raises(ValueError):
+        ClusteringState(
+            entities=state.entities,
+            profiles=state.profiles,
+            remaining_features=state.remaining_features,
+            frozen=frozenset({10}),
         )
 
 
@@ -122,20 +128,20 @@ def test_full_replay_of_example_iterations(dataset_a):
 
     # removing the least regular feature, by rebuild and incrementally
     state1 = drop_features(grouped0, {4})
-    incremental = update_sm_after_drop(grouped0.sm, grouped0.profiles, [4])
-    assert np.array_equal(state1.sm.values, SM_A_AFTER_FIRST_DROP)
+    incremental = update_sm_after_drop(build_sm(grouped0.profiles), grouped0.profiles, [4])
+    assert np.array_equal(build_sm(state1.profiles).values, SM_A_AFTER_FIRST_DROP)
     assert np.array_equal(incremental.values, SM_A_AFTER_FIRST_DROP)
 
     grouped1 = group_matching(state1)
     assert grouped1.entities == ((0, 1, 2, 3), (4, 6, 9), (5, 7), (8,))
 
     state2 = drop_features(grouped1, {2, 3})
-    assert np.array_equal(state2.sm.values, SM_A_AFTER_SECOND_DROP)
+    assert np.array_equal(build_sm(state2.profiles).values, SM_A_AFTER_SECOND_DROP)
 
-    severed = anti_merge_update(state2)
-    assert np.array_equal(severed.sm.values, SM_A_SEVERED)
-    # with every link severed, nothing merges any more
-    assert group_matching(severed) is severed
+    frozen = anti_merge_update(state2)
+    assert frozen.frozen == {1, 2}
+    # with both colliding clusters frozen, nothing merges any more
+    assert group_matching(frozen) is frozen
 
 
 def test_anti_merge_needs_colliding_clusters(dataset_a):
@@ -145,32 +151,34 @@ def test_anti_merge_needs_colliding_clusters(dataset_a):
 
 
 def test_anti_merge_severs_singleton_links():
-    # two 2-member clusters and one singleton, all in full agreement
-    profiles = np.array([[0, 0], [0, 0], [0, 0]])
+    # two 2-member clusters and two singletons, all in full agreement
     state = ClusteringState(
-        entities=((0, 1), (2, 3), (4,)),
-        profiles=profiles,
+        entities=((0, 1), (2, 3), (4,), (5,)),
+        profiles=np.zeros((4, 2), dtype=np.int64),
         remaining_features=(0, 1),
-        sm=build_sm(profiles),
     )
-    severed = anti_merge_update(state)
-    assert np.array_equal(severed.sm.values, np.zeros(3, dtype=np.int64))
-    assert anti_merge_update(severed) is severed
+    frozen = anti_merge_update(state)
+    assert frozen.frozen == {0, 1}
+    assert anti_merge_update(frozen) is frozen
+    # the frozen clusters absorb no singleton; the singletons still merge
+    grouped = group_matching(frozen)
+    assert grouped.entities == ((0, 1), (2, 3), (4, 5))
+    assert grouped.frozen == frozenset()
 
 
 def test_anti_merge_leaves_other_pairs_alone():
-    profiles = np.array([[0, 0], [0, 0], [1, 0]])
+    profiles = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [2, 0], [2, 0]])
     state = ClusteringState(
-        entities=((0, 1), (2, 3), (4,)),
+        entities=((0, 1), (2, 3), (4, 5), (6,), (7,), (8, 9)),
         profiles=profiles,
         remaining_features=(0, 1),
-        sm=build_sm(profiles),
     )
-    severed = anti_merge_update(state)
-    # the (cluster, cluster) collision dies; the partial matches survive
-    assert severed.sm.value_at(0, 1) == 0
-    assert severed.sm.value_at(0, 2) == 1
-    assert severed.sm.value_at(1, 2) == 1
+    frozen = anti_merge_update(state)
+    # only the (cluster, cluster) collision freezes; a cluster alone in its
+    # profile group, and a partial match, leave the others free to merge
+    assert frozen.frozen == {0, 1}
+    grouped = group_matching(frozen)
+    assert grouped.entities == ((0, 1), (2, 3), (4, 5, 6), (7, 8, 9))
 
 
 # -- drop selection -------------------------------------------------------
@@ -197,7 +205,6 @@ def test_select_drop_termination_cases():
         entities=((0,), (1,), (2,)),
         profiles=profiles,
         remaining_features=(0, 1),
-        sm=build_sm(profiles),
     )
     report = importance_report(profiles)
     # both features carry the same pair counts: nothing to drop
@@ -344,6 +351,18 @@ def test_run_all_identical_rows():
     assert result.partition == ((0, 1, 2),)
     assert result.stop_reason == STOP_ALL_CLUSTERED
     assert result.dendrogram.to_newick() == "(0,1,2);"
+
+
+@pytest.mark.parametrize("anti_merge", [True, False])
+def test_run_builds_no_match_matrix_under_drop_all(dataset_a, monkeypatch, anti_merge):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_sm called")
+
+    monkeypatch.setattr(mbclust.core, "build_sm", refuse)
+    monkeypatch.setattr(mbclust.importance, "build_sm", refuse)
+    result = run(dataset_a, MbcConfig(anti_merge=anti_merge))
+    assert result.dendrogram.anti_merge_used is anti_merge
+    assert len(result.partition) == (4 if anti_merge else 2)
 
 
 def test_theta_strictly_decreasing(dataset_a):

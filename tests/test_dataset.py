@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbclust import CsvError, Dataset, load_csv
+from mbclust import CsvError, Dataset, load_csv, run
 from conftest import DATA_DIR
 
 
@@ -60,6 +60,14 @@ def test_from_codes_defaults():
     assert data.frequency(0, 0) == 2
 
 
+def test_from_codes_compacts_sparse_codes():
+    assert Dataset.from_codes([[0], [2]]).categories(0) == ("c0", "c2")
+    sparse = Dataset.from_codes([[0, 1], [3_000_000, 0], [5, 1]])
+    assert sparse.categories(0) == ("c0", "c5", "c3000000")
+    assert np.array_equal(sparse.codes_matrix, [[0, 1], [2, 0], [1, 1]])
+    assert run(np.array([[0, 1], [3_000_000, 0], [5, 1]])).partition == ((0, 2), (1,))
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Dataset.from_codes(np.zeros((0, 2), dtype=int))
@@ -81,33 +89,6 @@ def test_lookup_errors(dataset_a):
         dataset_a.frequency(0, 17)
     with pytest.raises(IndexError):
         dataset_a.column(5)
-
-
-def test_restrict_view(dataset_a):
-    view = dataset_a.restrict([3, 1])
-    assert view.features == (1, 3)
-    assert view.feature_names == ("B", "D")
-    assert view.m == 2 and view.n == 10
-    assert np.array_equal(view.codes_matrix, dataset_a.cells[:, [1, 3]])
-    # frequencies still come from the full object population
-    assert view.frequency(0, dataset_a.code_of(1, "b1")) == 4
-    assert view.row(0) == (dataset_a.row(0)[1], dataset_a.row(0)[3])
-
-
-def test_restrict_of_restrict(dataset_a):
-    narrow = dataset_a.restrict([0, 2, 4]).restrict([2])
-    assert narrow.features == (4,)
-    assert narrow.feature_names == ("E",)
-
-
-def test_restrict_errors(dataset_a):
-    with pytest.raises(ValueError):
-        dataset_a.restrict([])
-    with pytest.raises(IndexError):
-        dataset_a.restrict([0, 9])
-    view = dataset_a.view()
-    with pytest.raises(IndexError):
-        view.column(5)
 
 
 def test_csv_missing_rejected_by_default(tmp_path):

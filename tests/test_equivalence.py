@@ -1,0 +1,59 @@
+"""The library's loop against the matrix-based reference loop.
+
+``matrix_loop.run`` merges and applies the containment rule on a full
+match-count matrix; ``mbclust.run`` groups identical profiles and freezes
+colliding clusters. Every observable output must be identical.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import matrix_loop
+from mbclust import MbcConfig, run
+
+
+@st.composite
+def code_matrices(draw):
+    """Small code matrices; half are copies of a few prototypes with edits,
+    so that clusters collide and the containment rule fires often."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 5))
+    cell = st.integers(0, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        protos = draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=1, max_size=4))
+        picks = draw(st.lists(st.sampled_from(range(len(protos))), min_size=n, max_size=n))
+        codes = np.array([protos[p] for p in picks], dtype=np.int64)
+        for row, col, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), cell),
+                                             max_size=n)):
+            codes[row, col] = value
+        return codes
+    rows = draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.int64)
+
+
+def _observed(result):
+    return (
+        result.partition,
+        result.dendrogram.to_dict(),
+        result.dendrogram.to_newick(),
+        [record.to_dict() for record in result.trace],
+        result.stop_reason,
+    )
+
+
+GRID = list(itertools.product(("pgp", "ppp"), ("drop-all", "pgp2-single"), (True, False),
+                              ("entities", "original")))
+
+
+@pytest.mark.parametrize("measure, ties, anti_merge, population", GRID)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(codes=code_matrices(), k=st.sampled_from([None, 1, 2, 3, 5]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
+def test_run_equals_matrix_loop(measure, ties, anti_merge, population, codes, k, alpha):
+    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge,
+                       k=k, importance_population=population, alpha=alpha)
+    assert _observed(run(codes, config)) == _observed(matrix_loop.run(codes, config))

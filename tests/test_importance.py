@@ -95,6 +95,14 @@ def test_pgp2_counts_and_threshold(dataset_a):
         pgp2(dataset_a, sm=sm, candidates=(4,), alpha=5.0)
 
 
+def test_pgp2_counts_thresholds(dataset_a):
+    sm = build_sm(dataset_a.codes_matrix)
+    assert pgp2_counts(dataset_a, sm, ()) == (POSITIVE_PAIRS_A, POSITIVE_PAIRS_A)
+    # only the two exact-profile pairs exceed 4 matches
+    assert pgp2_counts(dataset_a, sm, (), alpha=4.0) == (2, 2)
+    assert pgp2_counts(dataset_a, sm, (), alpha=5.0) == (0, 0)
+
+
 def test_pgp2_matches_direct_recount():
     rng = np.random.default_rng(7)
     for _ in range(20):

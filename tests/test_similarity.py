@@ -8,14 +8,13 @@ from mbclust import (
     condensed_index,
     count_matches,
     goodall,
-    influence,
     lin,
     overlap,
     pairwise_matrix,
     update_sm_after_drop,
 )
 from conftest import random_codes
-from oracles import PAIR_MEASURES_D42, POSITIVE_PAIRS_A, SM_A_FULL
+from oracles import PAIR_MEASURES_D42, SM_A_FULL
 
 
 @pytest.mark.parametrize("size", range(2, 9))
@@ -165,15 +164,6 @@ def test_measures_symmetric_and_bounded():
             continue
         assert forward == lin(y, x, data)
         assert 0.0 <= forward <= 1.0
-
-
-def test_influence_counts(dataset_a):
-    sm = build_sm(dataset_a.codes_matrix)
-    mask = influence(sm)
-    assert mask.ones == POSITIVE_PAIRS_A
-    assert influence(sm, alpha=4.0).ones == 2  # only the two exact-profile pairs
-    assert influence(sm, alpha=5.0).ones == 0
-    assert np.array_equal(mask.bits, sm.values > 0)
 
 
 def test_pairwise_matrix_consistency(d42):

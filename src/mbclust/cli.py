@@ -171,6 +171,7 @@ def _rank_rows(names, numerators, denominators, values):
 
 
 def _cmd_importance(args) -> int:
+    alpha = MbcConfig(alpha=args.alpha).validated().alpha
     data = _load_dataset(args)
     report = importance_report(data)
     names = report.feature_names
@@ -179,7 +180,7 @@ def _cmd_importance(args) -> int:
         pims = []
         gim = None
         for f in range(data.m):
-            pim, gim = pgp2_counts(data, sm, (f,), alpha=args.alpha)
+            pim, gim = pgp2_counts(data, sm, (f,), alpha=alpha)
             pims.append(pim)
         if not gim:
             raise MbcError("no pair exceeds the influence threshold; pgp2 is undefined")

@@ -17,14 +17,14 @@ with the rule enabled cannot be cut at a chosen cluster count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import DegenerateDataError, MbcError
-from .importance import ImportanceReport, importance_report, pgp2
+from .dataset import Dataset, as_codes
+from .errors import MbcError
+from .importance import ImportanceReport, importance_report, pgp2_counts
 from .similarity import build_sm
 
 IMPORTANCE_PGP = "pgp"
@@ -83,12 +83,15 @@ class MbcConfig:
             k = int(k)
             if k < 1:
                 raise ValueError("k must be at least 1")
+        alpha = float(self.alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
         anti_merge = bool(self.anti_merge) and k is None
         return MbcConfig(
             importance_measure=measure,
             tie_policy=policy,
             anti_merge=anti_merge,
-            alpha=float(self.alpha),
+            alpha=alpha,
             k=k,
             importance_population=population,
         )
@@ -134,9 +137,7 @@ class ClusteringState:
 
 def initial_state(data) -> ClusteringState:
     """All-singleton state over a dataset or raw code matrix."""
-    codes = np.array(getattr(data, "codes_matrix", data), dtype=np.int64)
-    if codes.ndim != 2:
-        raise ValueError("data must form a 2-D code matrix")
+    codes = as_codes(data).copy()
     n, m = codes.shape
     return ClusteringState(
         entities=tuple((i,) for i in range(n)),
@@ -212,7 +213,9 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
     ``pgp2-single`` policy a tie is broken in favor of the candidate
     whose removal preserves the largest share of marked similarity
     pairs, scored over the current entity profiles; any leftover tie
-    falls to the lowest feature index.
+    falls to the lowest feature index. All candidates share the count
+    of marked pairs before the drop, so the largest share is the
+    largest count of marked pairs kept.
     """
     if config.importance_measure == IMPORTANCE_PPP:
         numerators = report.mismatch_pairs
@@ -229,17 +232,8 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
         chosen = tied
     else:
         sm = build_sm(state.profiles)
-        best_pos = tied[0]
-        best_score: Fraction | None = None
-        for pos in tied:
-            try:
-                score = pgp2(state.profiles, sm=sm, candidates=(pos,), alpha=config.alpha)
-            except DegenerateDataError:
-                break
-            if best_score is None or score > best_score:
-                best_score = score
-                best_pos = pos
-        chosen = [best_pos]
+        kept = [pgp2_counts(state.profiles, sm, (pos,), config.alpha)[0] for pos in tied]
+        chosen = [tied[kept.index(max(kept))]]
     if len(chosen) >= state.theta:
         return ()
     return tuple(state.remaining_features[pos] for pos in chosen)

@@ -23,6 +23,14 @@ _MISSING_MARKERS = frozenset({"", "?"})
 _MISSING_LABEL = "?"
 
 
+def as_codes(data) -> np.ndarray:
+    """The int64 (n, m) code matrix of a :class:`Dataset` or a 2-D array-like."""
+    codes = np.asarray(getattr(data, "codes_matrix", data), dtype=np.int64)
+    if codes.ndim != 2:
+        raise ValueError("data must form a 2-D code matrix")
+    return codes
+
+
 class Dataset:
     """Immutable integer-encoded categorical data matrix.
 

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataset import as_codes
 from .errors import DegenerateDataError
 from .similarity import SimilarityMatrix, build_sm, update_sm_after_drop
 
@@ -35,9 +36,7 @@ def match_pair_counts(codes) -> np.ndarray:
     cells is counted twice; the doubling is shared by all columns and
     cancels wherever these counts are normalized.
     """
-    codes = np.asarray(getattr(codes, "codes_matrix", codes), dtype=np.int64)
-    if codes.ndim != 2:
-        raise ValueError("codes must form a 2-D matrix")
+    codes = as_codes(codes)
     out = np.zeros(codes.shape[1], dtype=np.int64)
     for col in range(codes.shape[1]):
         counts = np.bincount(codes[:, col])
@@ -65,9 +64,7 @@ class ImportanceReport:
 
 def importance_report(data, feature_names: Sequence[str] | None = None) -> ImportanceReport:
     """Compute both importance rankings over a dataset or code matrix."""
-    codes = np.asarray(getattr(data, "codes_matrix", data), dtype=np.int64)
-    if codes.ndim != 2:
-        raise ValueError("data must form a 2-D code matrix")
+    codes = as_codes(data)
     e, f = codes.shape
     if feature_names is None:
         feature_names = getattr(data, "feature_names", None) or tuple(f"f{i}" for i in range(f))
@@ -117,7 +114,7 @@ def ppp(data) -> tuple[Fraction, ...]:
 
 def pgp2_counts(data, sm: SimilarityMatrix, candidates: Iterable[int], alpha: float = 0.0) -> tuple[int, int]:
     """Marked-pair counts (after drop, before drop) behind :func:`pgp2`."""
-    codes = np.asarray(getattr(data, "codes_matrix", data), dtype=np.int64)
+    codes = as_codes(data)
     gim = int((sm.values > alpha).sum())
     drop = sorted({int(c) for c in candidates})
     if not drop:
@@ -139,7 +136,7 @@ def pgp2(data, sm: SimilarityMatrix | None = None, candidates: Iterable[int] = (
     pair is marked even before the drop.
     """
     if sm is None:
-        sm = build_sm(np.asarray(getattr(data, "codes_matrix", data), dtype=np.int64))
+        sm = build_sm(data)
     pim, gim = pgp2_counts(data, sm, candidates, alpha)
     if gim == 0:
         raise DegenerateDataError("no pair exceeds the influence threshold; the ratio is undefined")

@@ -4,7 +4,7 @@ Pairwise similarity is kept in two forms:
 
 * :class:`SimilarityMatrix` stores raw match counts (the number of
   features on which two entities agree) in a condensed upper triangle of
-  ``int64``. Clustering works directly on these counts.
+  ``int64``. The ``pgp2`` tie-break scores features on these counts.
 * :func:`overlap`, :func:`goodall` and :func:`lin` score a single pair of
   objects in ``[0, 1]``, weighting matches uniformly, by rarity, or by
   information content respectively.
@@ -18,16 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataset import as_codes
 from .errors import DegenerateDataError
-
-
-def _as_codes(profiles) -> np.ndarray:
-    """Accept either a code matrix or anything exposing ``codes_matrix``."""
-    codes = getattr(profiles, "codes_matrix", profiles)
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim != 2:
-        raise ValueError("profiles must form a 2-D code matrix")
-    return codes
 
 
 def _feature_list(x: Sequence[int], y: Sequence[int], features) -> list[int]:
@@ -151,9 +143,11 @@ def build_sm(profiles, theta: int | None = None) -> SimilarityMatrix:
 
     ``profiles`` is an (e, f) code matrix (or an object exposing one).
     ``theta`` defaults to the number of profile columns; pass it
-    explicitly only when the caller tracks features separately.
+    explicitly only when the caller tracks features separately. The
+    condensed triangle is written row by row, so no (e, e) array is
+    ever held.
     """
-    codes = _as_codes(profiles)
+    codes = as_codes(profiles)
     e, f = codes.shape
     if f == 0:
         raise ValueError("profiles carry no features")
@@ -163,12 +157,13 @@ def build_sm(profiles, theta: int | None = None) -> SimilarityMatrix:
         values = np.zeros(0, dtype=np.int64)
         values.setflags(write=False)
         return SimilarityMatrix(size=e, values=values, theta=theta)
-    square = np.zeros((e, e), dtype=np.int64)
-    for col in range(f):
-        column = codes[:, col]
-        square += column[:, None] == column[None, :]
-    ii, jj = np.triu_indices(e, k=1)
-    values = square[ii, jj]
+    # Feature-major copy: each row block then sums f long vectors.
+    columns = np.ascontiguousarray(codes.T)
+    values = np.empty(e * (e - 1) // 2, dtype=np.int64)
+    stop = 0
+    for i in range(e - 1):
+        start, stop = stop, stop + e - 1 - i
+        np.sum(columns[:, i + 1:] == columns[:, i, None], axis=0, out=values[start:stop])
     values.setflags(write=False)
     return SimilarityMatrix(size=e, values=values, theta=theta)
 
@@ -176,12 +171,12 @@ def build_sm(profiles, theta: int | None = None) -> SimilarityMatrix:
 def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int]) -> SimilarityMatrix:
     """Match-count matrix after removing feature columns.
 
-    Subtracts, per pair, the matches contributed by the dropped columns
-    of ``profiles`` (the profile matrix the ``sm`` was built from) and
+    Subtracts, per pair, the match counts of the dropped columns of
+    ``profiles`` (the profile matrix the ``sm`` was built from) and
     lowers ``theta`` accordingly. Rebuilding from the kept columns gives
-    the same matrix; this route just avoids touching the kept ones.
+    the same matrix.
     """
-    codes = _as_codes(profiles)
+    codes = as_codes(profiles)
     e, f = codes.shape
     if sm.size != e:
         raise ValueError(f"matrix covers {sm.size} entities but profiles have {e}")
@@ -196,12 +191,7 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
         raise IndexError(f"dropped column out of range 0..{f - 1}")
     if len(drop) >= f:
         raise ValueError("must drop a proper subset of the feature columns")
-    values = sm.values.copy()
-    if e >= 2:
-        ii, jj = np.triu_indices(e, k=1)
-        for col in drop:
-            column = codes[:, col]
-            values -= column[ii] == column[jj]
+    values = sm.values - build_sm(codes[:, drop]).values
     values.setflags(write=False)
     return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta - len(drop))
 

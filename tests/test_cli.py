@@ -182,6 +182,20 @@ def test_missing_cell_is_data_error(tmp_path, capsys):
     assert "row 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", DATASET_A, "--ties", "pgp2"],
+    ["dendrogram", DATASET_A],
+    ["importance", DATASET_A, "--measure", "pgp2"],
+    ["eval", LABELED, "--labels", "group"],
+])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_non_finite_alpha_is_data_error(argv, alpha, capsys):
+    assert main(argv + [f"--alpha={alpha}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: alpha") and "{" not in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

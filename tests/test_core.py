@@ -65,6 +65,14 @@ def test_config_validation_errors():
         MbcConfig(k=0).validated()
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        MbcConfig(alpha=alpha).validated()
+    with pytest.raises(ValueError, match="alpha"):
+        run([[0, 1], [0, 2], [1, 2]], MbcConfig(tie_policy="pgp2", alpha=alpha))
+
+
 def test_config_k_disables_containment():
     config = MbcConfig(k=3, anti_merge=True).validated()
     assert config.anti_merge is False and config.k == 3

@@ -211,17 +211,15 @@ def _cmd_importance(args) -> int:
 
 def _cmd_similarity(args) -> int:
     data = _load_dataset(args)
-    matrix = pairwise_matrix(data, args.measure)
-    integral = args.measure == "cm"
+    rows = pairwise_matrix(data, args.measure).tolist()
     if args.format == "json":
-        rows = [[int(v) for v in row] if integral else [float(v) for v in row] for row in matrix]
         _emit(json.dumps({"measure": args.measure, "n": data.n, "matrix": rows}), args.out)
         return 0
     buf = io.StringIO()
     writer = csvmod.writer(buf, lineterminator="\n")
     writer.writerow([""] + [str(j) for j in range(data.n)])
-    for i, row in enumerate(matrix):
-        writer.writerow([str(i)] + [str(int(v)) if integral else f"{v:.6f}" for v in row])
+    for i, row in enumerate(rows):
+        writer.writerow([str(i)] + [str(v) if args.measure == "cm" else f"{v:.6f}" for v in row])
     _emit(buf.getvalue(), args.out)
     return 0
 

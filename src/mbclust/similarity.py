@@ -8,6 +8,11 @@ Pairwise similarity is kept in two forms:
 * :func:`overlap`, :func:`goodall` and :func:`lin` score a single pair of
   objects in ``[0, 1]``, weighting matches uniformly, by rarity, or by
   information content respectively.
+
+:func:`pairwise_matrix` scores every pair of a dataset at once under any
+of these measures, or as raw match counts. It makes one pass over the
+features, looking each feature's terms up in small per-category tables,
+and gives the same values, bit for bit, as the single-pair functions.
 """
 
 from __future__ import annotations
@@ -196,31 +201,72 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
     return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta - len(drop))
 
 
+def _lin_tables(held_counts: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature tables of :func:`lin` over the categories some object holds.
+
+    ``numerator[a, b]`` is the numerator term of a pair holding categories
+    ``a`` and ``b`` and ``log_p[a]`` the log relative frequency of ``a``,
+    computed with ``math.log`` and the same float expressions as
+    :func:`lin`, so sums of them are bit-identical to its sums.
+    """
+    p = [fc / n for fc in held_counts]
+    log_p = [math.log(q) for q in p]
+    numerator = np.empty((len(p), len(p)))
+    for a in range(len(p)):
+        numerator[a, a] = 2.0 * log_p[a]
+        for b in range(a + 1, len(p)):
+            numerator[a, b] = numerator[b, a] = 2.0 * math.log(p[a] + p[b])
+    return numerator, np.array(log_p)
+
+
 def pairwise_matrix(data, measure: str) -> np.ndarray:
     """Full square similarity matrix of a dataset under a named measure.
 
     ``measure`` is one of ``cm`` (integer match counts), ``overlap``,
     ``goodall`` or ``lin``. Intended for inspection and export; the
     clustering itself consumes :class:`SimilarityMatrix`.
+
+    One pass over the features: each feature's term for every pair is
+    looked up by category code in a small table built from the
+    feature's category frequencies, and added into the result in
+    feature order. The tables use the float expressions of
+    :func:`goodall` and :func:`lin`, so entry ``(i, j)`` equals the
+    single-pair score of rows ``i`` and ``j`` bit for bit, and the same
+    errors are raised. Besides the result, only lin's denominator and
+    one temporary of the same size are held.
     """
-    n = data.n
-    codes = data.codes_matrix
-    if measure == "cm":
-        out = np.zeros((n, n), dtype=np.int64)
-        for col in range(data.m):
-            column = codes[:, col]
-            out += column[:, None] == column[None, :]
-        return out
-    if measure == "overlap":
-        cm = pairwise_matrix(data, "cm")
-        return cm / data.m
-    if measure not in ("goodall", "lin"):
+    if measure not in ("cm", "overlap", "goodall", "lin"):
         raise ValueError(f"unknown measure {measure!r}")
-    fn = goodall if measure == "goodall" else lin
-    out = np.zeros((n, n), dtype=np.float64)
-    rows = [tuple(int(c) for c in codes[i]) for i in range(n)]
-    for i in range(n):
-        out[i, i] = fn(rows[i], rows[i], data)
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = fn(rows[i], rows[j], data)
+    n, m = data.n, data.m
+    if measure == "goodall" and n < 2:
+        raise ValueError("goodall needs at least two objects for category frequencies")
+    out = np.zeros((n, n), dtype=np.float64 if measure in ("goodall", "lin") else np.int64)
+    den = np.zeros((n, n)) if measure == "lin" else None
+    codes = data.codes_matrix
+    for f in range(m):
+        column = codes[:, f]
+        if measure in ("cm", "overlap"):
+            out += column[:, None] == column[None, :]
+        elif measure == "goodall":
+            # a match on a category held by fc objects; mismatches add nothing
+            weight = np.array([1.0 - (fc * (fc - 1)) / (n * (n - 1)) for fc in data.frequencies_for(f).tolist()])
+            np.add(out, weight[column][:, None], out=out, where=column[:, None] == column[None, :])
+        else:
+            counts = data.frequencies_for(f)
+            # Tables over held categories only: a code book may list categories
+            # no object holds, whose log is undefined and whose rows would be waste.
+            held = np.flatnonzero(counts)
+            column = np.searchsorted(held, column)
+            numerator, log_p = _lin_tables(counts[held].tolist(), n)
+            out += numerator[column[:, None], column[None, :]]
+            log_p = log_p[column]
+            den += log_p[:, None] + log_p[None, :]
+    if measure == "overlap":
+        return out / m
+    if measure == "lin":
+        if not den.all():
+            raise DegenerateDataError("every scored category is held by all objects; similarity is undefined")
+        out /= den
+    elif measure == "goodall":
+        out /= m
     return out

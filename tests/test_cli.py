@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
+import pairwise_loop
+from mbclust import load_csv
 from mbclust.cli import main
 from conftest import DATA_DIR
 from oracles import NEWICK_A
@@ -138,6 +141,42 @@ def test_similarity_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 4 and payload["measure"] == "overlap"
     assert payload["matrix"][0][2] == 0.5
+
+
+# SHA-256 of `similarity dataset_a.csv` output, the per-pair reference
+# matrix rendered cell by cell with int() / float() as the command did
+# before it emitted `matrix.tolist()`.
+SIMILARITY_A_SHA256 = {
+    ("cm", "json"): "f3cf4bcec5bc08af0feb414589ca258c815900c1d35ebcbb44d5d353a8eb93f8",
+    ("cm", "csv"): "6f3e005f13e18e0d777a341e30d59f686da59b5984102e87e2eb2da12b0241ed",
+    ("overlap", "json"): "769f753253b1f63ac56a0a5955acb6c254183f4070fd14710de8874b8f98d0b7",
+    ("overlap", "csv"): "b163babe87f98844dc4e8b42f02930a2e3f8432f7ff8f88521e5938301f448e1",
+    ("goodall", "json"): "f99615919bb9307af1af34965fa0cbb2c64c0c4413372ecb9bc184d84b0d5572",
+    ("goodall", "csv"): "632912e1b9a70589ecfdc5a5df1c58488e2f0476bcd2b3ca65b53ea8f7751a73",
+    ("lin", "json"): "e7e4fd546e01ff7742d524ae895b89071ff8f526b9808b14eca5852b048156e8",
+    ("lin", "csv"): "98c2762913d66a90793342c8516e2891ccbda6c69a33f21a0384fa1931dda99a",
+}
+
+
+def _render_per_cell(matrix, measure, fmt):
+    integral = measure == "cm"
+    if fmt == "json":
+        rows = [[int(v) for v in row] if integral else [float(v) for v in row] for row in matrix]
+        return json.dumps({"measure": measure, "n": len(matrix), "matrix": rows}) + "\n"
+    lines = [",".join([""] + [str(j) for j in range(len(matrix))])]
+    for i, row in enumerate(matrix):
+        lines.append(",".join([str(i)] + [str(int(v)) if integral else f"{v:.6f}" for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("measure", ["cm", "overlap", "goodall", "lin"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_similarity_output_bytes_pinned(capsys, measure, fmt):
+    assert main(["similarity", DATASET_A, "--measure", measure, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    expected = _render_per_cell(pairwise_loop.pairwise_matrix(load_csv(DATASET_A), measure), measure, fmt)
+    assert out == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMILARITY_A_SHA256[measure, fmt]
 
 
 def test_eval_text_and_summary(capsys):

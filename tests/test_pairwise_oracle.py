@@ -1,0 +1,50 @@
+"""The square similarity matrices against the per-pair reference.
+
+``pairwise_loop.pairwise_matrix`` scores every pair with the single-pair
+``goodall`` and ``lin``; ``mbclust.pairwise_matrix`` adds per-feature
+lookup tables. Every matrix must be bit-identical, and where the
+reference raises, the library must raise the same exception type with
+the same message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import pairwise_loop
+from mbclust import Dataset, pairwise_matrix
+from test_equivalence import code_matrices
+
+
+def _dataset(codes, unused):
+    """Dataset over ``codes`` whose code books end with ``unused``
+    categories that no object holds (gaps below the largest code are
+    unused too)."""
+    m = codes.shape[1]
+    books = [tuple(f"c{c}" for c in range(int(codes[:, col].max()) + 1 + unused)) for col in range(m)]
+    return Dataset(codes, [f"f{col}" for col in range(m)], books)
+
+
+@pytest.mark.parametrize("measure", ["cm", "overlap", "goodall", "lin"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(codes=code_matrices(), unused=st.integers(0, 3))
+@example(codes=np.array([[2, 0, 1]]), unused=0)  # n = 1
+@example(codes=np.array([[0, 1], [1, 1]]), unused=1)  # n = 2, one constant column
+@example(codes=np.array([[0, 3], [0, 3]]), unused=0)  # n = 2, all constant
+@example(codes=np.zeros((6, 3), dtype=np.int64), unused=2)  # all constant, unused categories
+@example(codes=np.array([[0, 0], [0, 1], [0, 2], [0, 0]]), unused=0)  # a constant column beside a varied one
+def test_pairwise_matrix_equals_per_pair_loop(measure, codes, unused):
+    data = _dataset(codes, unused)
+    try:
+        expected = pairwise_loop.pairwise_matrix(data, measure)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            pairwise_matrix(data, measure)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    actual = pairwise_matrix(data, measure)
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()  # also the sign of every zero

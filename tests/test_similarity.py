@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mbclust.similarity
 from mbclust import (
     Dataset,
     DegenerateDataError,
@@ -177,3 +178,14 @@ def test_pairwise_matrix_consistency(d42):
     assert np.all(np.diag(li) == 1.0)
     with pytest.raises(ValueError):
         pairwise_matrix(d42, "hamming")
+
+
+def test_pairwise_matrix_scores_no_single_pair(dataset_a, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-pair scoring called")
+
+    monkeypatch.setattr(Dataset, "frequency", refuse)
+    monkeypatch.setattr(mbclust.similarity, "goodall", refuse)
+    monkeypatch.setattr(mbclust.similarity, "lin", refuse)
+    for measure in ("cm", "overlap", "goodall", "lin"):
+        assert pairwise_matrix(dataset_a, measure).shape == (dataset_a.n, dataset_a.n)

@@ -39,6 +39,7 @@ from .importance import (
     pgp,
     pgp2,
     pgp2_counts,
+    pgp2_kept_counts,
     ppp,
 )
 from .similarity import (
@@ -96,6 +97,7 @@ __all__ = [
     "pgp",
     "pgp2",
     "pgp2_counts",
+    "pgp2_kept_counts",
     "ppp",
     "purity",
     "run",

@@ -31,8 +31,8 @@ from .core import (
 from .dataset import MISSING_CATEGORY, MISSING_REJECT, load_csv
 from .errors import MbcError
 from .evaluation import contingency, misclassified, purity
-from .importance import importance_report, pgp2_counts
-from .similarity import build_sm, pairwise_matrix
+from .importance import importance_report, pgp2_kept_counts
+from .similarity import pairwise_matrix
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser, with_label: bool = True) -> None:
@@ -176,12 +176,7 @@ def _cmd_importance(args) -> int:
     report = importance_report(data)
     names = report.feature_names
     if args.measure == "pgp2":
-        sm = build_sm(data.codes_matrix)
-        pims = []
-        gim = None
-        for f in range(data.m):
-            pim, gim = pgp2_counts(data, sm, (f,), alpha=alpha)
-            pims.append(pim)
+        pims, gim = pgp2_kept_counts(data, range(data.m), alpha)
         if not gim:
             raise MbcError("no pair exceeds the influence threshold; pgp2 is undefined")
         rows = _rank_rows(names, pims, [gim] * data.m, [Fraction(p, gim) for p in pims])

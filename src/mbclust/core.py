@@ -24,8 +24,7 @@ import numpy as np
 
 from .dataset import Dataset, as_codes
 from .errors import MbcError
-from .importance import ImportanceReport, importance_report, pgp2_counts
-from .similarity import build_sm
+from .importance import ImportanceReport, importance_report, pgp2_kept_counts
 
 IMPORTANCE_PGP = "pgp"
 IMPORTANCE_PPP = "ppp"
@@ -215,7 +214,9 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
     pairs, scored over the current entity profiles; any leftover tie
     falls to the lowest feature index. All candidates share the count
     of marked pairs before the drop, so the largest share is the
-    largest count of marked pairs kept.
+    largest count of marked pairs kept, and one
+    :func:`~mbclust.importance.pgp2_kept_counts` sweep over the entity
+    pairs scores every tied candidate without a match-count matrix.
     """
     if config.importance_measure == IMPORTANCE_PPP:
         numerators = report.mismatch_pairs
@@ -231,8 +232,7 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
     if config.tie_policy == TIES_DROP_ALL or len(tied) == 1:
         chosen = tied
     else:
-        sm = build_sm(state.profiles)
-        kept = [pgp2_counts(state.profiles, sm, (pos,), config.alpha)[0] for pos in tied]
+        kept, _ = pgp2_kept_counts(state.profiles, tied, config.alpha)
         chosen = [tied[kept.index(max(kept))]]
     if len(chosen) >= state.theta:
         return ()

@@ -10,6 +10,9 @@ Three rankings are provided:
 * ``pgp2``: a second-stage score used to break ties. It asks how much of
   the pairwise similarity structure survives when a candidate feature
   set is removed, as a ratio of pairs whose match count exceeds a threshold.
+  :func:`pgp2_kept_counts` scores many single-feature candidates in one
+  pass over the entity pairs, without a match-count matrix; the
+  clustering loop's tie-break and the ``importance`` command use it.
 
 All scores are :class:`fractions.Fraction` so that equality of
 importances is decidable exactly; ties drive the clustering loop's
@@ -18,6 +21,7 @@ termination and must not depend on float rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,6 +31,10 @@ import numpy as np
 from .dataset import as_codes
 from .errors import DegenerateDataError
 from .similarity import SimilarityMatrix, build_sm, update_sm_after_drop
+
+# Rows per block of the pgp2_kept_counts sweep; a block holds
+# features x rows x entities booleans.
+_SWEEP_ROWS = 64
 
 
 def match_pair_counts(codes) -> np.ndarray:
@@ -141,3 +149,50 @@ def pgp2(data, sm: SimilarityMatrix | None = None, candidates: Iterable[int] = (
     if gim == 0:
         raise DegenerateDataError("no pair exceeds the influence threshold; the ratio is undefined")
     return Fraction(pim, gim)
+
+
+def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tuple[tuple[int, ...], int]:
+    """Marked pairs kept when each candidate column alone is dropped.
+
+    Returns ``(kept, marked)``: ``marked`` counts the pairs whose match
+    count exceeds ``alpha``, and ``kept[k]`` how many of them still
+    exceed it once column ``candidates[k]`` is dropped, which is
+    ``pgp2_counts(data, build_sm(data), (candidates[k],), alpha)[0]``.
+
+    With ``t`` the smallest marked count, dropping column ``c`` unmarks
+    exactly the pairs that match on ``t`` columns, ``c`` among them. One
+    sweep over blocks of rows counts those pairs for every column at
+    once, so no match-count matrix is built and memory stays at one
+    block of features x rows x entities booleans. Dropping the only
+    column keeps no pair, as in :func:`pgp2_counts`.
+    """
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+    codes = as_codes(data)
+    e, f = codes.shape
+    if f == 0:
+        raise ValueError("profiles carry no features")
+    drop = [int(c) for c in candidates]
+    if any(not 0 <= c < f for c in drop):
+        raise IndexError(f"candidate column out of range 0..{f - 1}")
+    # Every pair is marked below this range and none above it.
+    t = min(max(math.floor(alpha) + 1, 0), f + 1)
+    # Renumbering the codes densely keeps equal codes equal and lets the
+    # comparisons run on a narrow dtype.
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    columns = np.ascontiguousarray(inverse.reshape(e, f).T, dtype=np.min_scalar_type(len(distinct)))
+    count_dtype = np.min_scalar_type(f + 1)
+    marked = 0
+    lost = np.zeros(f, dtype=np.int64)
+    for a in range(0, e - 1, _SWEEP_ROWS):
+        b = min(a + _SWEEP_ROWS, e - 1)
+        # eq[c, r, q]: rows a + r and a + 1 + q agree on column c; a pair when q >= r.
+        eq = columns[:, a:b, None] == columns[:, None, a + 1:]
+        pair = np.arange(b - a)[:, None] <= np.arange(e - a - 1)
+        matches = eq.sum(axis=0, dtype=count_dtype)
+        marked += int(np.count_nonzero(pair & (matches >= t)))
+        lost += np.count_nonzero(eq[:, pair & (matches == t)], axis=1)
+    if f == 1:
+        return (0,) * len(drop), marked
+    return tuple(marked - int(lost[c]) for c in drop), marked

@@ -4,7 +4,9 @@ Pairwise similarity is kept in two forms:
 
 * :class:`SimilarityMatrix` stores raw match counts (the number of
   features on which two entities agree) in a condensed upper triangle of
-  ``int64``. The ``pgp2`` tie-break scores features on these counts.
+  ``int64``. :func:`~mbclust.importance.pgp2` scores feature drops on
+  these counts; the clustering loop's tie-break gets the same scores
+  from :func:`~mbclust.importance.pgp2_kept_counts` without the matrix.
 * :func:`overlap`, :func:`goodall` and :func:`lin` score a single pair of
   objects in ``[0, 1]``, weighting matches uniformly, by rarity, or by
   information content respectively.
@@ -150,7 +152,9 @@ def build_sm(profiles, theta: int | None = None) -> SimilarityMatrix:
     ``theta`` defaults to the number of profile columns; pass it
     explicitly only when the caller tracks features separately. The
     condensed triangle is written row by row, so no (e, e) array is
-    ever held.
+    ever held. The clustering loop does not call it: its pgp2 tie-break
+    uses :func:`~mbclust.importance.pgp2_kept_counts`, which the tests
+    check against this matrix.
     """
     codes = as_codes(profiles)
     e, f = codes.shape
@@ -201,22 +205,28 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
     return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta - len(drop))
 
 
-def _lin_tables(held_counts: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _lin_tables(held_counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature tables of :func:`lin` over the categories some object holds.
 
     ``numerator[a, b]`` is the numerator term of a pair holding categories
     ``a`` and ``b`` and ``log_p[a]`` the log relative frequency of ``a``,
     computed with ``math.log`` and the same float expressions as
-    :func:`lin`, so sums of them are bit-identical to its sums.
+    :func:`lin`, so sums of them are bit-identical to its sums. A term
+    depends on its categories only through their frequencies, so each log
+    is taken once per distinct frequency or pair of frequencies and
+    gathered into the tables: an ID-like feature, every object its own
+    category, takes two logs.
     """
-    p = [fc / n for fc in held_counts]
-    log_p = [math.log(q) for q in p]
-    numerator = np.empty((len(p), len(p)))
-    for a in range(len(p)):
-        numerator[a, a] = 2.0 * log_p[a]
-        for b in range(a + 1, len(p)):
-            numerator[a, b] = numerator[b, a] = 2.0 * math.log(p[a] + p[b])
-    return numerator, np.array(log_p)
+    freqs, group = np.unique(held_counts, return_inverse=True)
+    p = [fc / n for fc in freqs.tolist()]
+    log_p = np.array([math.log(q) for q in p])
+    mismatch = np.empty((len(p), len(p)))
+    for u in range(len(p)):
+        for v in range(u, len(p)):
+            mismatch[u, v] = mismatch[v, u] = 2.0 * math.log(p[u] + p[v])
+    numerator = mismatch[group[:, None], group[None, :]]
+    np.fill_diagonal(numerator, 2.0 * log_p[group])
+    return numerator, log_p[group]
 
 
 def pairwise_matrix(data, measure: str) -> np.ndarray:
@@ -257,7 +267,7 @@ def pairwise_matrix(data, measure: str) -> np.ndarray:
             # no object holds, whose log is undefined and whose rows would be waste.
             held = np.flatnonzero(counts)
             column = np.searchsorted(held, column)
-            numerator, log_p = _lin_tables(counts[held].tolist(), n)
+            numerator, log_p = _lin_tables(counts[held], n)
             out += numerator[column[:, None], column[None, :]]
             log_p = log_p[column]
             den += log_p[:, None] + log_p[None, :]

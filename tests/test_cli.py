@@ -179,6 +179,33 @@ def test_similarity_output_bytes_pinned(capsys, measure, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SIMILARITY_A_SHA256[measure, fmt]
 
 
+# Exit code and SHA-256 of the output of `importance --measure pgp2`, taken
+# when every candidate was scored over a full match-count matrix. On
+# d42.csv at alpha 2.5 no pair is marked, so the command fails and prints
+# nothing.
+IMPORTANCE_PGP2_SHA256 = {
+    ("dataset_a.csv", "json", "-1"): (0, "6e57107995d65eb1d62171c257100e269002aad22bc5eca408e25635c667cd3d"),
+    ("dataset_a.csv", "json", "0"): (0, "c5a32f4accc4bf6a23620791cf847d72018a103ba01121a08708c52082ffa7df"),
+    ("dataset_a.csv", "json", "2.5"): (0, "8606de810d14a076b92af943be4ec6d3d702facbb6f3bfbcffcc3184a0f6d141"),
+    ("dataset_a.csv", "text", "-1"): (0, "ec7011d3c1f3f9ee7491ee54265cc4dceb0faf418afaec92b4aa5787e796b09d"),
+    ("dataset_a.csv", "text", "0"): (0, "852587286b0d548089f8a110ec66e1b7aaada376e2b2f120c228ec573832e193"),
+    ("dataset_a.csv", "text", "2.5"): (0, "5b743070809262a1ef414d5bb8c9fce2315df9372c1c7819ec6a45b143535c59"),
+    ("d42.csv", "json", "-1"): (0, "cbf0eb7e12c3d1db623a710e58e9027f395120292232e88dc1cd9124c462dad2"),
+    ("d42.csv", "json", "0"): (0, "9e3850afcb85de2360ff544b7ccc470d0e3d90ab69f884c31be2a5f4dfef99f2"),
+    ("d42.csv", "json", "2.5"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("d42.csv", "text", "-1"): (0, "838606c88cbd7e5789fb3a36b25ddccfe2cb561cdd677430e25c4528a74521c8"),
+    ("d42.csv", "text", "0"): (0, "91907db2c7e3439d163668d434742ccec5c2e5c2c4cede9ce281bc8deaa15418"),
+    ("d42.csv", "text", "2.5"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("name, fmt, alpha", sorted(IMPORTANCE_PGP2_SHA256))
+def test_importance_pgp2_output_bytes_pinned(capsys, name, fmt, alpha):
+    code = main(["importance", str(DATA_DIR / name), "--measure", "pgp2", "--format", fmt, f"--alpha={alpha}"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == IMPORTANCE_PGP2_SHA256[name, fmt, alpha]
+
+
 def test_eval_text_and_summary(capsys):
     assert main(["eval", LABELED, "--labels", "group"]) == 0
     out, _ = capsys.readouterr()

@@ -3,6 +3,7 @@ import pytest
 
 import mbclust.core
 import mbclust.importance
+import mbclust.similarity
 from mbclust import (
     ClusteringState,
     Dendrogram,
@@ -366,7 +367,7 @@ def test_run_builds_no_match_matrix_under_drop_all(dataset_a, monkeypatch, anti_
     def refuse(*args, **kwargs):
         raise AssertionError("build_sm called")
 
-    monkeypatch.setattr(mbclust.core, "build_sm", refuse)
+    monkeypatch.setattr(mbclust.similarity, "build_sm", refuse)
     monkeypatch.setattr(mbclust.importance, "build_sm", refuse)
     result = run(dataset_a, MbcConfig(anti_merge=anti_merge))
     assert result.dendrogram.anti_merge_used is anti_merge

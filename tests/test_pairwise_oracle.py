@@ -35,7 +35,25 @@ def _dataset(codes, unused):
 @example(codes=np.zeros((6, 3), dtype=np.int64), unused=2)  # all constant, unused categories
 @example(codes=np.array([[0, 0], [0, 1], [0, 2], [0, 0]]), unused=0)  # a constant column beside a varied one
 def test_pairwise_matrix_equals_per_pair_loop(measure, codes, unused):
-    data = _dataset(codes, unused)
+    assert_equals_per_pair_loop(_dataset(codes, unused), measure)
+
+
+@pytest.mark.parametrize("measure", ["cm", "overlap", "goodall", "lin"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(codes=code_matrices(), unused=st.integers(0, 3), order=st.randoms(use_true_random=False),
+       position=st.integers(0, 5))
+@example(codes=np.array([[2, 0, 1]]), unused=0, order=None, position=0)  # n = 1
+@example(codes=np.zeros((7, 1), dtype=np.int64), unused=1, order=None, position=1)
+def test_pairwise_matrix_with_id_column_equals_per_pair_loop(measure, codes, unused, order, position):
+    """An ID-like column, every object its own category, inserted among the others."""
+    ids = np.arange(len(codes))
+    if order is not None:
+        order.shuffle(ids)
+    codes = np.insert(codes, min(position, codes.shape[1]), ids, axis=1)
+    assert_equals_per_pair_loop(_dataset(codes, unused), measure)
+
+
+def assert_equals_per_pair_loop(data, measure):
     try:
         expected = pairwise_loop.pairwise_matrix(data, measure)
     except Exception as exc:

@@ -13,12 +13,19 @@ absorbing each other: when two multi-member clusters reach full
 agreement, they are frozen for that round and merge with nothing. This
 trades dendrogram structure for cluster stability, so results produced
 with the rule enabled cannot be cut at a chosen cluster count.
+
+The loop is array work: a state holds one entity label per object and
+one profile row per entity, and identical profiles are found by sorting
+one packed integer key per row. Member tuples are built only for the
+dendrogram, and there only for the entities that merged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -96,31 +103,51 @@ class MbcConfig:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ClusteringState:
     """Snapshot of the loop between iterations.
 
-    ``entities`` are the current clusters as ascending member tuples,
-    ordered by smallest member. ``profiles`` holds one code row per
-    entity over the remaining features; ``remaining_features`` maps its
-    columns back to original feature indices. ``frozen`` holds the
-    indices of entities that the containment rule keeps from merging
-    this round.
+    ``labels`` gives each object the index of its entity (its current
+    cluster); the loop numbers entities in order of their smallest
+    member. ``profiles`` holds one code row per entity over the
+    remaining features; ``remaining_features`` maps its columns back to
+    original feature indices. ``frozen`` holds the indices of entities
+    that the containment rule keeps from merging this round.
+
+    A state is built from ``labels`` or from ``entities``, the clusters
+    as member tuples in entity order; :attr:`entities` is derived from
+    the labels when asked for.
     """
 
-    entities: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
     profiles: np.ndarray
     remaining_features: tuple[int, ...]
-    iteration: int = 0
-    frozen: frozenset[int] = frozenset()
+    iteration: int
+    frozen: frozenset[int]
 
-    def __post_init__(self):
-        e = len(self.entities)
-        if self.profiles.shape != (e, len(self.remaining_features)):
+    def __init__(self, entities=None, *, profiles, remaining_features, iteration=0, frozen=frozenset(),
+                 labels=None):
+        if (entities is None) == (labels is None):
+            raise ValueError("give exactly one of entities and labels")
+        if labels is None:
+            labels = _labels_of(entities)
+        labels = np.asarray(labels)
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ValueError("labels must be a 1-d integer array")
+        labels = labels.astype(np.intp, copy=False)
+        for name, value in (("labels", labels), ("profiles", profiles), ("remaining_features", remaining_features),
+                            ("iteration", iteration), ("frozen", frozenset(frozen))):
+            object.__setattr__(self, name, value)
+        e = len(profiles) if entities is None else len(entities)
+        if profiles.shape != (e, len(remaining_features)):
             raise ValueError(
-                f"profiles shape {self.profiles.shape} does not match "
-                f"{e} entities x {len(self.remaining_features)} features"
+                f"profiles shape {profiles.shape} does not match "
+                f"{e} entities x {len(remaining_features)} features"
             )
+        if len(labels) and (labels.min() < 0 or labels.max() >= e):
+            raise ValueError(f"labels outside 0..{e - 1}")
+        if not self.sizes.all():
+            raise ValueError("an entity has no member")
         if any(not 0 <= idx < e for idx in self.frozen):
             raise ValueError(f"frozen entity indices {sorted(self.frozen)} outside 0..{e - 1}")
 
@@ -129,26 +156,77 @@ class ClusteringState:
         """Number of remaining features; the full-agreement match count."""
         return len(self.remaining_features)
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Number of members of each entity."""
+        return np.bincount(self.labels, minlength=len(self.profiles))
+
+    @cached_property
+    def entities(self) -> tuple[tuple[int, ...], ...]:
+        """Current clusters as ascending member tuples, in entity order."""
+        members = np.argsort(self.labels, kind="stable").tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(tuple(members[start:end]) for start, end in zip([0] + ends[:-1], ends))
+
     def partition(self) -> tuple[tuple[int, ...], ...]:
         """Current clusters as member tuples."""
         return self.entities
+
+
+def _labels_of(entities) -> np.ndarray:
+    """Entity index of each object, from member tuples that cover ``0..n-1``."""
+    sizes = [len(ent) for ent in entities]
+    n = sum(sizes)
+    members = np.fromiter(chain.from_iterable(entities), dtype=np.int64, count=n)
+    labels = np.full(n, -1, dtype=np.int64)
+    if n and (members.min() < 0 or members.max() >= n):
+        raise ValueError(f"entity members outside 0..{n - 1}")
+    labels[members] = np.repeat(np.arange(len(sizes)), sizes)
+    if (labels < 0).any():
+        raise ValueError("entities do not hold each object exactly once")
+    return labels
 
 
 def initial_state(data) -> ClusteringState:
     """All-singleton state over a dataset or raw code matrix."""
     codes = as_codes(data).copy()
     n, m = codes.shape
-    return ClusteringState(
-        entities=tuple((i,) for i in range(n)),
-        profiles=codes,
-        remaining_features=tuple(range(m)),
-    )
+    return ClusteringState(labels=np.arange(n), profiles=codes, remaining_features=tuple(range(m)))
+
+
+# Packed profile keys stay below this bound, well inside int64.
+_KEY_LIMIT = 1 << 62
 
 
 def _profile_groups(state: ClusteringState) -> np.ndarray:
-    """Per entity, the id of its group of identical profiles."""
-    _, group = np.unique(state.profiles, axis=0, return_inverse=True)
-    return group.reshape(-1)
+    """Per entity, the rank of its profile among the distinct profiles.
+
+    Each profile is packed into one int64 key, column by column
+    (``key = key * card + code`` with the column's codes shifted to
+    start at 0), so identical profiles are found by sorting one integer
+    per entity, and the key order is the lexicographic order of the
+    profiles. A column whose codes span more values than there are
+    entities is replaced by its ranks first, and the key is replaced by
+    its ranks whenever the next product would pass 2**62, so any int64
+    codes pack without overflow.
+    """
+    profiles = state.profiles
+    e = len(profiles)
+    key = np.zeros(e, dtype=np.int64)
+    card = 1
+    for column, low, high in zip(profiles.T, profiles.min(axis=0).tolist(), profiles.max(axis=0).tolist()):
+        span = high - low + 1
+        if span > e:
+            _, column = np.unique(column, return_inverse=True)
+            span = int(column.max()) + 1
+        else:
+            column = column - low
+        if card * span > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            card = int(key.max()) + 1
+        key = key * span + column
+        card *= span
+    return np.unique(key, return_inverse=True)[1]
 
 
 def group_matching(state: ClusteringState) -> ClusteringState:
@@ -156,29 +234,26 @@ def group_matching(state: ClusteringState) -> ClusteringState:
 
     Full agreement means identical profiles, so the merged groups are the
     groups of identical profile rows and the merge order is irrelevant.
-    Frozen entities stay apart. Returns the input state unchanged when
-    nothing merges.
+    Frozen entities stay apart. The merged entities are numbered in
+    order of their smallest old index, which keeps the entities ordered
+    by smallest member, and each object's new label is read off its old
+    one. Returns the input state unchanged when nothing merges.
     """
-    e = len(state.entities)
+    e = len(state.profiles)
     if e < 2:
         return state
-    group = _profile_groups(state).tolist()
-    for idx in state.frozen:
-        group[idx] = -1 - idx  # a group of its own
-    by_group: dict[int, list[int]] = {}
-    for idx, g in enumerate(group):
-        by_group.setdefault(g, []).append(idx)
-    if len(by_group) == e:
+    group = _profile_groups(state)
+    if state.frozen:
+        frozen = np.fromiter(state.frozen, dtype=np.intp, count=len(state.frozen))
+        group[frozen] = group.max() + 1 + np.arange(len(frozen))  # groups of their own
+    _, first, new_of_old = np.unique(group, return_index=True, return_inverse=True)
+    if len(first) == e:
         return state
-
-    # Entities are ordered by smallest member, and components come in
-    # order of their smallest old index, which preserves that invariant.
-    components = list(by_group.values())
-    entities = tuple(
-        tuple(sorted(m for idx in comp for m in state.entities[idx])) for comp in components
-    )
-    profiles = state.profiles[[comp[0] for comp in components], :]
-    return replace(state, entities=entities, profiles=profiles, frozen=frozenset())
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return replace(state, labels=rank[new_of_old][state.labels], profiles=state.profiles[first[order]],
+                   frozen=frozenset())
 
 
 def anti_merge_update(state: ClusteringState) -> ClusteringState:
@@ -190,13 +265,13 @@ def anti_merge_update(state: ClusteringState) -> ClusteringState:
     group, while those singletons still merge among themselves. Returns
     the input state unchanged when no new entity is frozen.
     """
-    is_cluster = np.array([len(ent) > 1 for ent in state.entities], dtype=bool)
+    is_cluster = state.sizes > 1
     if is_cluster.sum() < 2:
         return state
     group = _profile_groups(state)
     clusters_per_group = np.bincount(group[is_cluster], minlength=group.max() + 1)
     colliding = np.flatnonzero(is_cluster & (clusters_per_group[group] >= 2))
-    frozen = state.frozen | {int(idx) for idx in colliding}
+    frozen = state.frozen | set(colliding.tolist())
     if frozen == state.frozen:
         return state
     return replace(state, frozen=frozen)
@@ -379,10 +454,10 @@ class MbcResult:
     @property
     def assignments(self) -> np.ndarray:
         """Per-object cluster ids, 1-based, in partition order."""
+        sizes = [len(members) for members in self.partition]
+        objects = np.fromiter(chain.from_iterable(self.partition), dtype=np.intp, count=sum(sizes))
         out = np.zeros(self.n_objects, dtype=np.int64)
-        for cid, members in enumerate(self.partition, start=1):
-            for m in members:
-                out[m] = cid
+        out[objects] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
         return out
 
 
@@ -400,11 +475,15 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         data = Dataset.from_codes(np.asarray(data, dtype=np.int64))
 
     state = initial_state(data)
-    n = len(state.entities)
-    levels: list[tuple[tuple[int, ...], ...]] = [state.partition()]
+    n = len(state.labels)
+    # Member tuples of the current entities. Unmerged entities keep their
+    # tuple from level to level, and merged ones are built from their
+    # children's, so every level shares one int object per object.
+    level = tuple((i,) for i in range(n))
+    levels: list[tuple[tuple[int, ...], ...]] = [level]
     merge_events: list[MergeEvent] = []
     trace: list[IterationRecord] = []
-    node_ids = list(range(n))
+    node_ids = np.arange(n)
     next_node = n
     anti_merge_used = False
 
@@ -418,29 +497,36 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
 
         grouped = group_matching(state)
         if grouped is not state:
-            member_to_old = {m: oi for oi, ent in enumerate(state.entities) for m in ent}
-            new_node_ids = []
-            for ent in grouped.entities:
-                olds = sorted({member_to_old[m] for m in ent})
-                if len(olds) == 1:
-                    new_node_ids.append(node_ids[olds[0]])
-                    continue
+            # New entity of each old one; the old entities of each new one,
+            # in entity order, are a run of ``children``.
+            new_of_old = np.empty(len(level), dtype=np.intp)
+            new_of_old[state.labels] = grouped.labels
+            children = np.argsort(new_of_old, kind="stable")
+            counts = np.bincount(new_of_old)
+            ends = np.cumsum(counts)
+            first = children[ends - counts]
+            old_nodes = node_ids
+            node_ids = node_ids[first]
+            new_level = list(map(level.__getitem__, first.tolist()))
+            for idx in np.flatnonzero(counts > 1).tolist():
+                olds = children[ends[idx] - counts[idx]:ends[idx]]
+                members = tuple(sorted(chain.from_iterable(map(level.__getitem__, olds.tolist()))))
                 merge_events.append(
                     MergeEvent(
                         iteration=state.iteration,
                         parent=next_node,
-                        children=tuple(node_ids[oi] for oi in olds),
-                        members=ent,
+                        children=tuple(old_nodes[olds].tolist()),
+                        members=members,
                     )
                 )
-                new_node_ids.append(next_node)
+                new_level[idx] = members
+                node_ids[idx] = next_node
                 next_node += 1
-            node_ids = new_node_ids
-        levels.append(grouped.partition())
+            level = tuple(new_level)
+        levels.append(level)
 
-        if all(len(ent) >= 2 for ent in grouped.entities):
+        if (grouped.sizes >= 2).all():
             trace.append(IterationRecord(state.iteration, state.theta, names, report, ()))
-            state = grouped
             stop_reason = STOP_ALL_CLUSTERED
             break
 
@@ -448,7 +534,6 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         dropped_names = tuple(data.feature_names[f] for f in dropped_ids)
         trace.append(IterationRecord(state.iteration, state.theta, names, report, dropped_names))
         if not dropped_ids:
-            state = grouped
             stop_reason = STOP_TIED_IMPORTANCE
             break
 
@@ -457,7 +542,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         remaining = tuple(grouped.remaining_features[pos] for pos in kept_positions)
         profiles = grouped.profiles[:, kept_positions].copy()
         state = ClusteringState(
-            entities=grouped.entities,
+            labels=grouped.labels,
             profiles=profiles,
             remaining_features=remaining,
             iteration=grouped.iteration + 1,
@@ -474,7 +559,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         merge_events=tuple(merge_events),
         anti_merge_used=anti_merge_used,
     )
-    partition = cut_at_k(dendrogram, config.k) if config.k is not None else state.partition()
+    partition = cut_at_k(dendrogram, config.k) if config.k is not None else level
     return MbcResult(
         partition=partition,
         dendrogram=dendrogram,

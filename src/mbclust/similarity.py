@@ -13,8 +13,9 @@ Pairwise similarity is kept in two forms:
 
 :func:`pairwise_matrix` scores every pair of a dataset at once under any
 of these measures, or as raw match counts. It makes one pass over the
-features, looking each feature's terms up in small per-category tables,
-and gives the same values, bit for bit, as the single-pair functions.
+features, looking each feature's terms up in small tables indexed by
+category or category frequency, and gives the same values, bit for
+bit, as the single-pair functions.
 """
 
 from __future__ import annotations
@@ -205,28 +206,29 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
     return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta - len(drop))
 
 
-def _lin_tables(held_counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature tables of :func:`lin` over the categories some object holds.
+def _lin_numerator(column: np.ndarray, counts: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Write one feature's :func:`lin` numerator terms of every pair into ``out``.
 
-    ``numerator[a, b]`` is the numerator term of a pair holding categories
-    ``a`` and ``b`` and ``log_p[a]`` the log relative frequency of ``a``,
-    computed with ``math.log`` and the same float expressions as
-    :func:`lin`, so sums of them are bit-identical to its sums. A term
-    depends on its categories only through their frequencies, so each log
-    is taken once per distinct frequency or pair of frequencies and
-    gathered into the tables: an ID-like feature, every object its own
-    category, takes two logs.
+    Returns the log relative frequency of each object's category. The
+    terms use ``math.log`` and the same float expressions as :func:`lin`,
+    so sums of them are bit-identical to its sums. A mismatch term
+    depends on the two categories only through their frequencies, so
+    its log is taken once per pair of distinct frequencies and gathered
+    per object pair; the match term is then written where the codes
+    agree. An ID-like feature, every object its own category, takes two
+    logs.
     """
-    freqs, group = np.unique(held_counts, return_inverse=True)
+    freqs, group = np.unique(counts[column], return_inverse=True)
     p = [fc / n for fc in freqs.tolist()]
     log_p = np.array([math.log(q) for q in p])
     mismatch = np.empty((len(p), len(p)))
     for u in range(len(p)):
         for v in range(u, len(p)):
             mismatch[u, v] = mismatch[v, u] = 2.0 * math.log(p[u] + p[v])
-    numerator = mismatch[group[:, None], group[None, :]]
-    np.fill_diagonal(numerator, 2.0 * log_p[group])
-    return numerator, log_p[group]
+    np.take(mismatch[group], group, axis=1, out=out, mode="clip")  # in range; "clip" skips a buffer
+    log_p = log_p[group]
+    np.copyto(out, (2.0 * log_p)[:, None], where=column[:, None] == column[None, :])
+    return log_p
 
 
 def pairwise_matrix(data, measure: str) -> np.ndarray:
@@ -237,13 +239,14 @@ def pairwise_matrix(data, measure: str) -> np.ndarray:
     clustering itself consumes :class:`SimilarityMatrix`.
 
     One pass over the features: each feature's term for every pair is
-    looked up by category code in a small table built from the
-    feature's category frequencies, and added into the result in
-    feature order. The tables use the float expressions of
-    :func:`goodall` and :func:`lin`, so entry ``(i, j)`` equals the
-    single-pair score of rows ``i`` and ``j`` bit for bit, and the same
-    errors are raised. Besides the result, only lin's denominator and
-    one temporary of the same size are held.
+    looked up in a small table built from the feature's category
+    frequencies (by category code for goodall, by category frequency
+    for lin), and added into the result in feature order. The tables
+    use the float expressions of :func:`goodall` and :func:`lin`, so
+    entry ``(i, j)`` equals the single-pair score of rows ``i`` and
+    ``j`` bit for bit, and the same errors are raised. Besides the
+    result, only lin's denominator, one temporary of the same size and
+    one boolean mask are held.
     """
     if measure not in ("cm", "overlap", "goodall", "lin"):
         raise ValueError(f"unknown measure {measure!r}")
@@ -251,7 +254,9 @@ def pairwise_matrix(data, measure: str) -> np.ndarray:
     if measure == "goodall" and n < 2:
         raise ValueError("goodall needs at least two objects for category frequencies")
     out = np.zeros((n, n), dtype=np.float64 if measure in ("goodall", "lin") else np.int64)
-    den = np.zeros((n, n)) if measure == "lin" else None
+    if measure == "lin":
+        den = np.zeros((n, n))
+        terms = np.empty((n, n))
     codes = data.codes_matrix
     for f in range(m):
         column = codes[:, f]
@@ -262,15 +267,10 @@ def pairwise_matrix(data, measure: str) -> np.ndarray:
             weight = np.array([1.0 - (fc * (fc - 1)) / (n * (n - 1)) for fc in data.frequencies_for(f).tolist()])
             np.add(out, weight[column][:, None], out=out, where=column[:, None] == column[None, :])
         else:
-            counts = data.frequencies_for(f)
-            # Tables over held categories only: a code book may list categories
-            # no object holds, whose log is undefined and whose rows would be waste.
-            held = np.flatnonzero(counts)
-            column = np.searchsorted(held, column)
-            numerator, log_p = _lin_tables(counts[held], n)
-            out += numerator[column[:, None], column[None, :]]
-            log_p = log_p[column]
-            den += log_p[:, None] + log_p[None, :]
+            log_p = _lin_numerator(column, data.frequencies_for(f), n, out=terms)
+            out += terms
+            np.add(log_p[:, None], log_p[None, :], out=terms)
+            den += terms
     if measure == "overlap":
         return out / m
     if measure == "lin":

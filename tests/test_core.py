@@ -114,6 +114,25 @@ def test_state_validation(dataset_a):
         )
 
 
+def test_state_from_labels_equals_state_from_entities(dataset_a):
+    entities = ((0, 1, 5), (2,), (3, 4, 9), (6, 7, 8))
+    profiles = dataset_a.codes_matrix[[0, 2, 3, 6]]
+    by_entities = ClusteringState(entities=entities, profiles=profiles, remaining_features=(0, 1, 2, 3, 4))
+    assert by_entities.labels.tolist() == [0, 0, 1, 2, 2, 0, 3, 3, 3, 2]
+    assert by_entities.sizes.tolist() == [3, 1, 3, 3]
+    by_labels = ClusteringState(labels=by_entities.labels, profiles=profiles, remaining_features=(0, 1, 2, 3, 4))
+    assert by_labels.entities == entities
+    with pytest.raises(ValueError, match="exactly one"):
+        ClusteringState(entities=entities, profiles=profiles, remaining_features=(0, 1, 2, 3, 4),
+                        labels=by_entities.labels)
+    with pytest.raises(ValueError, match="exactly once"):
+        ClusteringState(entities=((0, 1), (1,)), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match="labels outside"):
+        ClusteringState(labels=np.array([0, 4]), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match="no member"):
+        ClusteringState(labels=np.array([0, 0]), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
+
+
 def test_first_merge_round(dataset_a):
     grouped = group_matching(initial_state(dataset_a))
     assert len(grouped.entities) == 8
@@ -372,6 +391,21 @@ def test_run_builds_no_match_matrix_under_drop_all(dataset_a, monkeypatch, anti_
     result = run(dataset_a, MbcConfig(anti_merge=anti_merge))
     assert result.dendrogram.anti_merge_used is anti_merge
     assert len(result.partition) == (4 if anti_merge else 2)
+
+
+@pytest.mark.parametrize("anti_merge", [True, False])
+def test_run_sorts_no_profile_rows(dataset_a, monkeypatch, anti_merge):
+    unique = np.unique
+
+    def refuse_axis(*args, **kwargs):
+        if kwargs.get("axis") is not None or len(args) > 4 and args[4] is not None:
+            raise AssertionError("np.unique called with axis=")
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", refuse_axis)
+    for data in (dataset_a, np.random.default_rng(7).integers(0, 3, size=(200, 8))):
+        result = run(data, MbcConfig(anti_merge=anti_merge))
+        assert len(result.dendrogram.levels) > 2
 
 
 def test_theta_strictly_decreasing(dataset_a):

@@ -120,8 +120,7 @@ def _cmd_cluster(args) -> int:
         _emit(buf.getvalue(), args.out)
 
     if args.dendrogram_out:
-        Path(args.dendrogram_out).write_text(
-            json.dumps(result.dendrogram.to_dict(), indent=2) + "\n", encoding="utf-8")
+        Path(args.dendrogram_out).write_text(result.dendrogram.to_json() + "\n", encoding="utf-8")
     if args.newick_out:
         Path(args.newick_out).write_text(result.dendrogram.to_newick() + "\n", encoding="utf-8")
     if args.trace_out:
@@ -152,7 +151,7 @@ def _cmd_dendrogram(args) -> int:
     if args.format == "newick":
         _emit(result.dendrogram.to_newick(), args.out)
     else:
-        _emit(json.dumps(result.dendrogram.to_dict(), indent=2), args.out)
+        _emit(result.dendrogram.to_json(), args.out)
     return 0
 
 

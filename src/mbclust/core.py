@@ -172,6 +172,11 @@ class ClusteringState:
         """Current clusters as member tuples."""
         return self.entities
 
+    @cached_property
+    def _groups(self) -> np.ndarray:
+        """Per entity, the rank of its profile; see :func:`_profile_groups`."""
+        return _profile_groups(self)
+
 
 def _labels_of(entities) -> np.ndarray:
     """Entity index of each object, from member tuples that cover ``0..n-1``."""
@@ -242,9 +247,10 @@ def group_matching(state: ClusteringState) -> ClusteringState:
     e = len(state.profiles)
     if e < 2:
         return state
-    group = _profile_groups(state)
+    group = state._groups
     if state.frozen:
         frozen = np.fromiter(state.frozen, dtype=np.intp, count=len(state.frozen))
+        group = group.copy()
         group[frozen] = group.max() + 1 + np.arange(len(frozen))  # groups of their own
     _, first, new_of_old = np.unique(group, return_index=True, return_inverse=True)
     if len(first) == e:
@@ -268,13 +274,15 @@ def anti_merge_update(state: ClusteringState) -> ClusteringState:
     is_cluster = state.sizes > 1
     if is_cluster.sum() < 2:
         return state
-    group = _profile_groups(state)
+    group = state._groups
     clusters_per_group = np.bincount(group[is_cluster], minlength=group.max() + 1)
     colliding = np.flatnonzero(is_cluster & (clusters_per_group[group] >= 2))
     frozen = state.frozen | set(colliding.tolist())
     if frozen == state.frozen:
         return state
-    return replace(state, frozen=frozen)
+    out = replace(state, frozen=frozen)
+    out.__dict__["_groups"] = group  # same profiles, so the next group_matching reuses them
+    return out
 
 
 def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcConfig) -> tuple[int, ...]:
@@ -338,6 +346,14 @@ class MergeEvent:
         }
 
 
+def _json_list(items, indent: int) -> str:
+    """A JSON list of rendered items as ``json.dumps(..., indent=2)`` lays it
+    out with the items ``indent`` spaces deep; no item renders empty."""
+    pad = "\n" + " " * indent
+    body = ("," + pad).join(items)
+    return "[" + pad + body + pad[:-2] + "]" if body else "[]"
+
+
 @dataclass(frozen=True)
 class Dendrogram:
     """Merge history of a run.
@@ -364,6 +380,30 @@ class Dendrogram:
             "merges": [ev.to_dict() for ev in self.merge_events],
             "anti_merge_used": self.anti_merge_used,
         }
+
+    def to_json(self) -> str:
+        """The text of ``json.dumps(self.to_dict(), indent=2)``, written directly.
+
+        :func:`run` shares member tuples between levels, and a merge's
+        ``members`` is the tuple of its level entry. Both lists sit at
+        the same depth, so each distinct tuple is rendered once, keyed by
+        ``id`` while ``self`` keeps it alive.
+        """
+        tuples = {id(ent): ent for level in self.levels for ent in level}
+        tuples.update((id(ev.members), ev.members) for ev in self.merge_events)
+        text = {key: _json_list(map(str, ent), 8) for key, ent in tuples.items()}
+        levels = (_json_list(map(text.__getitem__, map(id, level)), 6) for level in self.levels)
+        merges = (
+            f'{{\n      "iteration": {ev.iteration},\n      "parent": {ev.parent},\n'
+            f'      "children": {_json_list(map(str, ev.children), 8)},\n'
+            f'      "members": {text[id(ev.members)]}\n    }}'
+            for ev in self.merge_events
+        )
+        return (
+            f'{{\n  "n_leaves": {self.n_leaves},\n  "levels": {_json_list(levels, 4)},\n'
+            f'  "merges": {_json_list(merges, 4)},\n'
+            f'  "anti_merge_used": {"true" if self.anti_merge_used else "false"}\n}}'
+        )
 
     def to_newick(self) -> str:
         """Newick rendering; leaves are object row indices.

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import pairwise_loop
-from mbclust import load_csv
+from mbclust import Dendrogram, load_csv
 from mbclust.cli import main
 from conftest import DATA_DIR
 from oracles import NEWICK_A
@@ -92,6 +92,54 @@ def test_dendrogram_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["anti_merge_used"] is False
     assert [len(level) for level in payload["levels"]] == [10, 8, 4, 2]
+
+
+# SHA-256 of the dendrogram JSON that `cluster --dendrogram-out` writes and
+# `dendrogram` prints for dataset_a.csv, recorded when both were written
+# with json.dumps(dendrogram.to_dict(), indent=2).
+DENDROGRAM_A_SHA256 = {
+    ("cluster",): "1a92c1ecd3eb90bf5d6c1bbcaf8e33bce21cb1792b5288e82c26100378060d30",
+    ("cluster", "--no-anti-merge"): "0bb94fe8a61708d034edc4cb994ff080d745d9aef826f4704c8698db438c5456",
+    ("cluster", "--ties", "pgp2"): "2b69fc37224c0b656e6fea21f64dccd09ebb24d8f2a85b10070f6230b65d35da",
+    ("dendrogram",): "0bb94fe8a61708d034edc4cb994ff080d745d9aef826f4704c8698db438c5456",
+    ("dendrogram", "--ties", "pgp2"): "ef61c807d90d25835c7c8145eb9cfe8e85feb0d4151e6a60717e07a3734281c6",
+    ("dendrogram", "--importance", "ppp"): "2daa0038733b7abe4cd35930ff23e1526035b487c29f5bfd0a028e914e835a6d",
+}
+
+
+def _dendrogram_bytes(args, tmp_path, capsys) -> bytes:
+    command, *options = args
+    if command == "cluster":
+        path = tmp_path / "dendro.json"
+        assert main(["cluster", DATASET_A, "--dendrogram-out", str(path), *options]) == 0
+        capsys.readouterr()
+        return path.read_bytes()
+    assert main(["dendrogram", DATASET_A, *options]) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("args", sorted(DENDROGRAM_A_SHA256))
+def test_dendrogram_output_bytes_pinned(args, tmp_path, capsys):
+    out = _dendrogram_bytes(args, tmp_path, capsys)
+    assert hashlib.sha256(out).hexdigest() == DENDROGRAM_A_SHA256[args]
+
+
+@pytest.mark.parametrize("args", [("cluster",), ("dendrogram",)])
+def test_dendrogram_output_skips_dict_and_indented_encoder(args, tmp_path, capsys, monkeypatch):
+    dumps = json.dumps
+
+    def refuse_to_dict(self):
+        raise AssertionError("Dendrogram.to_dict called")
+
+    def guarded_dumps(obj, *pargs, **kwargs):
+        if kwargs.get("indent") is not None and isinstance(obj, dict) and "merges" in obj:
+            raise AssertionError("dendrogram encoded with json.dumps(indent=...)")
+        return dumps(obj, *pargs, **kwargs)
+
+    monkeypatch.setattr(Dendrogram, "to_dict", refuse_to_dict)
+    monkeypatch.setattr(json, "dumps", guarded_dumps)
+    out = _dendrogram_bytes(args, tmp_path, capsys)
+    assert out.startswith(b'{\n  "n_leaves": 10,\n')
 
 
 def test_importance_text_ranked(capsys):

@@ -408,6 +408,23 @@ def test_run_sorts_no_profile_rows(dataset_a, monkeypatch, anti_merge):
         assert len(result.dendrogram.levels) > 2
 
 
+def test_run_groups_each_profile_matrix_once(dataset_a, monkeypatch):
+    grouped = []
+    profile_groups = mbclust.core._profile_groups
+
+    def counting(state):
+        grouped.append(state.profiles)
+        return profile_groups(state)
+
+    monkeypatch.setattr(mbclust.core, "_profile_groups", counting)
+    for data in (dataset_a, np.random.default_rng(7).integers(0, 3, size=(200, 8))):
+        grouped.clear()
+        result = run(data)
+        assert result.dendrogram.anti_merge_used
+        # anti_merge_update and the group_matching after it share one grouping
+        assert len({id(profiles) for profiles in grouped}) == len(grouped) == len(result.trace)
+
+
 def test_theta_strictly_decreasing(dataset_a):
     for config in (MbcConfig(), MbcConfig(tie_policy="pgp2"), MbcConfig(anti_merge=False)):
         thetas = [rec.theta for rec in run(dataset_a, config).trace]

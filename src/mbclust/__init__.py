@@ -10,8 +10,6 @@ rankings, and clustering evaluation against known labels.
 from .core import (
     IMPORTANCE_PGP,
     IMPORTANCE_PPP,
-    POPULATION_ENTITIES,
-    POPULATION_ORIGINAL,
     STOP_ALL_CLUSTERED,
     STOP_TIED_IMPORTANCE,
     TIES_DROP_ALL,
@@ -71,8 +69,6 @@ __all__ = [
     "MbcError",
     "MbcResult",
     "MergeEvent",
-    "POPULATION_ENTITIES",
-    "POPULATION_ORIGINAL",
     "STOP_ALL_CLUSTERED",
     "STOP_TIED_IMPORTANCE",
     "SimilarityMatrix",

@@ -23,6 +23,7 @@ dendrogram, and there only for the entities that merged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -38,9 +39,6 @@ IMPORTANCE_PPP = "ppp"
 
 TIES_DROP_ALL = "drop-all"
 TIES_PGP2 = "pgp2-single"
-
-POPULATION_ENTITIES = "entities"
-POPULATION_ORIGINAL = "original"
 
 STOP_ALL_CLUSTERED = "all objects clustered"
 STOP_TIED_IMPORTANCE = "remaining features equally important"
@@ -59,9 +57,7 @@ class MbcConfig:
     the match-count threshold of the tie-break scoring. ``k`` asks for
     a partition of about that many clusters, read off the dendrogram;
     setting it disables ``anti_merge`` because a censored dendrogram
-    cannot be cut. ``importance_population`` chooses whether importance
-    is computed over the current entities (default) or over the
-    original objects restricted to the remaining features.
+    cannot be cut.
     """
 
     importance_measure: str = IMPORTANCE_PGP
@@ -69,7 +65,6 @@ class MbcConfig:
     anti_merge: bool = True
     alpha: float = 0.0
     k: int | None = None
-    importance_population: str = POPULATION_ENTITIES
 
     def validated(self) -> "MbcConfig":
         """Normalized copy; raises ``ValueError`` on unusable settings."""
@@ -77,16 +72,16 @@ class MbcConfig:
         policy = self.tie_policy.lower()
         if policy == "pgp2":
             policy = TIES_PGP2
-        population = self.importance_population.lower()
         if measure not in (IMPORTANCE_PGP, IMPORTANCE_PPP):
             raise ValueError(f"unknown importance measure {self.importance_measure!r}")
         if policy not in (TIES_DROP_ALL, TIES_PGP2):
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
-        if population not in (POPULATION_ENTITIES, POPULATION_ORIGINAL):
-            raise ValueError(f"unknown importance population {self.importance_population!r}")
         k = self.k
         if k is not None:
-            k = int(k)
+            try:
+                k = operator.index(k)
+            except TypeError:
+                raise ValueError(f"k must be an integer, got {self.k!r}") from None
             if k < 1:
                 raise ValueError("k must be at least 1")
         alpha = float(self.alpha)
@@ -99,7 +94,6 @@ class MbcConfig:
             anti_merge=anti_merge,
             alpha=alpha,
             k=k,
-            importance_population=population,
         )
 
 
@@ -167,10 +161,6 @@ class ClusteringState:
         members = np.argsort(self.labels, kind="stable").tolist()
         ends = np.cumsum(self.sizes).tolist()
         return tuple(tuple(members[start:end]) for start, end in zip([0] + ends[:-1], ends))
-
-    def partition(self) -> tuple[tuple[int, ...], ...]:
-        """Current clusters as member tuples."""
-        return self.entities
 
     @cached_property
     def _groups(self) -> np.ndarray:
@@ -408,13 +398,14 @@ class Dendrogram:
     def to_newick(self) -> str:
         """Newick rendering; leaves are object row indices.
 
-        Multiple surviving roots are joined under one synthetic root so
-        the output is always a single tree.
+        The roots are the nodes that no merge lists as a child, in order
+        of their smallest member. Multiple roots are joined under one
+        synthetic root so the output is always a single tree.
         """
         by_parent = {ev.parent: ev for ev in self.merge_events}
-        node_of = {frozenset((i,)): i for i in range(self.n_leaves)}
-        for ev in self.merge_events:
-            node_of[frozenset(ev.members)] = ev.parent
+        children = {child for ev in self.merge_events for child in ev.children}
+        roots = sorted([(i, i) for i in range(self.n_leaves) if i not in children]
+                       + [(ev.members[0], ev.parent) for ev in self.merge_events if ev.parent not in children])
 
         def render(node: int) -> str:
             if node < self.n_leaves:
@@ -422,10 +413,9 @@ class Dendrogram:
             ev = by_parent[node]
             return "(" + ",".join(render(child) for child in ev.children) + ")"
 
-        roots = [node_of[frozenset(ent)] for ent in self.levels[-1]]
         if len(roots) == 1:
-            return render(roots[0]) + ";"
-        return "(" + ",".join(render(r) for r in roots) + ");"
+            return render(roots[0][1]) + ";"
+        return "(" + ",".join(render(node) for _, node in roots) + ");"
 
 
 def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
@@ -529,11 +519,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
 
     while True:
         names = tuple(data.feature_names[f] for f in state.remaining_features)
-        if config.importance_population == POPULATION_ORIGINAL:
-            population = data.codes_matrix[:, state.remaining_features]
-        else:
-            population = state.profiles
-        report = importance_report(population, feature_names=names)
+        report = importance_report(state.profiles, feature_names=names)
 
         grouped = group_matching(state)
         if grouped is not state:

@@ -42,12 +42,17 @@ def match_pair_counts(codes) -> np.ndarray:
 
     ``codes`` is an (e, f) integer matrix. Every unordered pair of equal
     cells is counted twice; the doubling is shared by all columns and
-    cancels wherever these counts are normalized.
+    cancels wherever these counts are normalized. Codes in ``0..e-1``,
+    as a :class:`~mbclust.dataset.Dataset` holds them, are counted with
+    ``bincount``; any other codes by sorting, since ``bincount`` sizes
+    its output by the largest code.
     """
     codes = as_codes(codes)
-    out = np.zeros(codes.shape[1], dtype=np.int64)
-    for col in range(codes.shape[1]):
-        counts = np.bincount(codes[:, col])
+    e, f = codes.shape
+    dense = codes.size == 0 or (codes.min() >= 0 and codes.max() < e)
+    out = np.zeros(f, dtype=np.int64)
+    for col in range(f):
+        counts = np.bincount(codes[:, col]) if dense else np.unique(codes[:, col], return_counts=True)[1]
         out[col] = int((counts * (counts - 1)).sum())
     return out
 

@@ -146,27 +146,24 @@ class SimilarityMatrix:
         return square
 
 
-def build_sm(profiles, theta: int | None = None) -> SimilarityMatrix:
+def build_sm(profiles) -> SimilarityMatrix:
     """Match-count matrix over entity profiles.
 
-    ``profiles`` is an (e, f) code matrix (or an object exposing one).
-    ``theta`` defaults to the number of profile columns; pass it
-    explicitly only when the caller tracks features separately. The
-    condensed triangle is written row by row, so no (e, e) array is
-    ever held. The clustering loop does not call it: its pgp2 tie-break
-    uses :func:`~mbclust.importance.pgp2_kept_counts`, which the tests
-    check against this matrix.
+    ``profiles`` is an (e, f) code matrix (or an object exposing one),
+    and the matrix's ``theta`` is ``f``. The condensed triangle is
+    written row by row, so no (e, e) array is ever held. The clustering
+    loop does not call it: its pgp2 tie-break uses
+    :func:`~mbclust.importance.pgp2_kept_counts`, which the tests check
+    against this matrix.
     """
     codes = as_codes(profiles)
     e, f = codes.shape
     if f == 0:
         raise ValueError("profiles carry no features")
-    if theta is None:
-        theta = f
     if e < 2:
         values = np.zeros(0, dtype=np.int64)
         values.setflags(write=False)
-        return SimilarityMatrix(size=e, values=values, theta=theta)
+        return SimilarityMatrix(size=e, values=values, theta=f)
     # Feature-major copy: each row block then sums f long vectors.
     columns = np.ascontiguousarray(codes.T)
     values = np.empty(e * (e - 1) // 2, dtype=np.int64)
@@ -175,7 +172,7 @@ def build_sm(profiles, theta: int | None = None) -> SimilarityMatrix:
         start, stop = stop, stop + e - 1 - i
         np.sum(columns[:, i + 1:] == columns[:, i, None], axis=0, out=values[start:stop])
     values.setflags(write=False)
-    return SimilarityMatrix(size=e, values=values, theta=theta)
+    return SimilarityMatrix(size=e, values=values, theta=f)
 
 
 def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int]) -> SimilarityMatrix:

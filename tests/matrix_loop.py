@@ -5,8 +5,9 @@ entities by profile identity: every round rebuilds the full e x e
 match-count matrix, merges the connected components of its
 full-agreement pairs with a union-find, and enforces the containment
 rule by severing full-agreement entries in the matrix. It is kept
-verbatim, with only its imports adapted, so that property tests can
-check the library's loop against it under every configuration.
+verbatim, with only its imports adapted and its branch for ranking
+features over the original objects removed, so that property tests
+can check the library's loop against it under every configuration.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from mbclust import (
     IMPORTANCE_PPP,
-    POPULATION_ORIGINAL,
     STOP_ALL_CLUSTERED,
     STOP_TIED_IMPORTANCE,
     TIES_DROP_ALL,
@@ -272,11 +272,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
 
     while True:
         names = tuple(data.feature_names[f] for f in state.remaining_features)
-        if config.importance_population == POPULATION_ORIGINAL:
-            population = data.codes_matrix[:, state.remaining_features]
-        else:
-            population = state.profiles
-        report = importance_report(population, feature_names=names)
+        report = importance_report(state.profiles, feature_names=names)
 
         grouped = group_matching(state)
         if grouped is not state:

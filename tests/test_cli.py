@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 import pairwise_loop
-from mbclust import Dendrogram, load_csv
+from mbclust import Dendrogram, MbcConfig, load_csv
 from mbclust.cli import main
 from conftest import DATA_DIR
 from oracles import NEWICK_A
@@ -23,6 +24,7 @@ def test_cluster_assignments_csv(capsys):
     manifest = json.loads(err.strip().splitlines()[-1])
     assert manifest["final_clusters"] == 4
     assert manifest["config"]["importance"] == "pgp"
+    assert len(manifest["config"]) == len(dataclasses.fields(MbcConfig))
     assert [it["theta"] for it in manifest["per_iteration"]] == [5, 4, 2]
     assert manifest["per_iteration"][0]["dropped"] == ["E"]
     assert manifest["seconds"] >= 0

@@ -61,9 +61,10 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         MbcConfig(tie_policy="first").validated()
     with pytest.raises(ValueError):
-        MbcConfig(importance_population="rows").validated()
-    with pytest.raises(ValueError):
         MbcConfig(k=0).validated()
+    with pytest.raises(ValueError, match="k"):
+        MbcConfig(k=2.7).validated()
+    assert MbcConfig(k=np.int64(2)).validated().k == 2
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
@@ -347,15 +348,6 @@ def test_levels_are_coarsenings(dataset_a):
         for fine, coarse in zip(levels, levels[1:]):
             for members in fine:
                 assert any(set(members) <= set(c) for c in coarse)
-
-
-def test_population_switch_changes_reports_not_outcome(dataset_a):
-    entity_run = run(dataset_a)
-    object_run = run(dataset_a, MbcConfig(importance_population="original"))
-    assert object_run.partition == entity_run.partition
-    # second-iteration counts come from 10 objects instead of 8 entities
-    assert object_run.trace[1].report.match_pairs == (42, 42, 20, 20)
-    assert entity_run.trace[1].report.match_pairs == MATCH_PAIRS_A_ITER1
 
 
 def test_run_accepts_raw_codes():

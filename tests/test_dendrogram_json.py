@@ -20,13 +20,12 @@ def assert_oracle_text(dendrogram):
     assert dendrogram.to_json() == json.dumps(dendrogram.to_dict(), indent=2)
 
 
-@pytest.mark.parametrize("measure, ties, anti_merge, population", GRID)
+@pytest.mark.parametrize("measure, ties, anti_merge", GRID)
 @settings(max_examples=20, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(codes=code_matrices(), k=st.sampled_from([None, 1, 2, 3, 5]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
-def test_to_json_equals_indented_dump_of_to_dict(measure, ties, anti_merge, population, codes, k, alpha):
-    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge,
-                       k=k, importance_population=population, alpha=alpha)
+def test_to_json_equals_indented_dump_of_to_dict(measure, ties, anti_merge, codes, k, alpha):
+    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge, k=k, alpha=alpha)
     assert_oracle_text(run(codes, config).dendrogram)
 
 

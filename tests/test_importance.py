@@ -31,6 +31,19 @@ def test_match_pair_counts(dataset_a):
     assert tuple(match_pair_counts(dataset_a)) == MATCH_PAIRS_A
 
 
+# No code lies between about 1e8 and 1e12, where a count sized by the
+# largest code would allocate gigabytes instead of failing.
+@pytest.mark.parametrize("codes", [
+    [[2**63 - 1], [2**63 - 1], [0]],
+    [[2**62], [2**62], [1]],
+    [[-3], [-3], [0]],
+    [[-2**63, 2**62, 0], [-2**63, -1, 0], [5, 2**62, 2**63 - 1], [5, -1, 0]],
+])
+def test_match_pair_counts_of_raw_codes(codes):
+    compact = Dataset.from_codes(codes).codes_matrix
+    assert tuple(match_pair_counts(codes)) == tuple(match_pair_counts(compact))
+
+
 def test_pgp_exact(dataset_a):
     values = pgp(dataset_a)
     assert values == PGP_A

@@ -47,13 +47,12 @@ def replay(codes, result):
     return tuple(levels)
 
 
-@pytest.mark.parametrize("measure, ties, anti_merge, population", GRID)
+@pytest.mark.parametrize("measure, ties, anti_merge", GRID)
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(codes=code_matrices(), k=st.sampled_from([None, 1, 2, 3, 5]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
-def test_trace_replay_reproduces_levels_and_partition(measure, ties, anti_merge, population, codes, k, alpha):
-    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge,
-                       k=k, importance_population=population, alpha=alpha)
+def test_trace_replay_reproduces_levels_and_partition(measure, ties, anti_merge, codes, k, alpha):
+    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge, k=k, alpha=alpha)
     result = run(codes, config)
     assert all(record.dropped for record in result.trace[:-1])
     levels = replay(codes, result)

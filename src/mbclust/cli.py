@@ -13,6 +13,7 @@ run manifest goes to stderr. Exit codes: 0 success, 1 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as csvmod
 import io
 import json
@@ -20,6 +21,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     IMPORTANCE_PGP,
@@ -203,18 +206,54 @@ def _cmd_importance(args) -> int:
     return 0
 
 
+# Cells of the block of rows whose text is looked up at once; bounds the
+# index arrays of the similarity writer to this many entries.
+_BLOCK_CELLS = 1 << 17
+
+
 def _cmd_similarity(args) -> int:
-    data = _load_dataset(args)
-    rows = pairwise_matrix(data, args.measure).tolist()
-    if args.format == "json":
-        _emit(json.dumps({"measure": args.measure, "n": data.n, "matrix": rows}), args.out)
-        return 0
-    buf = io.StringIO()
-    writer = csvmod.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [str(j) for j in range(data.n)])
-    for i, row in enumerate(rows):
-        writer.writerow([str(i)] + [str(v) if args.measure == "cm" else f"{v:.6f}" for v in row])
-    _emit(buf.getvalue(), args.out)
+    """Write the matrix one row at a time, formatting each distinct cell once.
+
+    Cells are keyed by bit pattern, so ``-0.0`` keeps its sign. JSON
+    floats use ``repr``, which is what ``json.dumps`` writes for them.
+    Each block of rows finds its cells' text through its own distinct
+    keys, so no n x n index array is held. The matrix and the text of
+    every distinct cell are ready before ``--out`` is opened, so a
+    failing measure writes nothing.
+    """
+    matrix = pairwise_matrix(_load_dataset(args), args.measure)
+    n = len(matrix)
+    integral = matrix.dtype == np.int64
+    keys = matrix if integral else matrix.view(np.uint64)
+    # A sort, not np.unique: without an inverse, numpy >= 2.3 hashes,
+    # which is slower when most cells are distinct.
+    ordered = np.sort(keys, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    del ordered
+    if integral:
+        text = np.frompyfunc(str, 1, 1)(distinct)
+    else:
+        cell = repr if args.format == "json" else "{:.6f}".format
+        text = np.frompyfunc(cell, 1, 1)(distinct.view(np.float64))
+    sep = ", " if args.format == "json" else ","
+
+    def rows():
+        step = max(1, _BLOCK_CELLS // n)
+        for a in range(0, n, step):
+            local, inverse = np.unique(keys[a:a + step], return_inverse=True)
+            for cells in text[np.searchsorted(distinct, local)][inverse.reshape(-1, n)]:
+                yield sep.join(cells.tolist())
+
+    with (open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)) as sink:
+        if args.format == "json":
+            sink.write(f'{{"measure": "{args.measure}", "n": {n}, "matrix": [')
+            for i, row in enumerate(rows()):
+                sink.write(f"{', ' if i else ''}[{row}]")
+            sink.write("]}\n")
+        else:
+            sink.write("".join(f",{j}" for j in range(n)) + "\n")
+            for i, row in enumerate(rows()):
+                sink.write(f"{i},{row}\n")
     return 0
 
 

@@ -87,6 +87,8 @@ class MbcConfig:
         alpha = float(self.alpha)
         if not math.isfinite(alpha):
             raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
+        if not isinstance(self.anti_merge, (bool, np.bool_)):
+            raise ValueError(f"anti_merge must be a bool, got {self.anti_merge!r}")
         anti_merge = bool(self.anti_merge) and k is None
         return MbcConfig(
             importance_measure=measure,

@@ -232,8 +232,9 @@ def pairwise_matrix(data, measure: str) -> np.ndarray:
     """Full square similarity matrix of a dataset under a named measure.
 
     ``measure`` is one of ``cm`` (integer match counts), ``overlap``,
-    ``goodall`` or ``lin``. Intended for inspection and export; the
-    clustering itself consumes :class:`SimilarityMatrix`.
+    ``goodall`` or ``lin``. Intended for inspection and export, as by
+    the ``similarity`` command; the clustering loop needs neither this
+    matrix nor :class:`SimilarityMatrix`.
 
     One pass over the features: each feature's term for every pair is
     looked up in a small table built from the feature's category

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import mbclust.cli
 import pairwise_loop
 from mbclust import Dendrogram, MbcConfig, load_csv
 from mbclust.cli import main
@@ -227,6 +228,39 @@ def test_similarity_output_bytes_pinned(capsys, measure, fmt):
     expected = _render_per_cell(pairwise_loop.pairwise_matrix(load_csv(DATASET_A), measure), measure, fmt)
     assert out == expected
     assert hashlib.sha256(out.encode()).hexdigest() == SIMILARITY_A_SHA256[measure, fmt]
+
+
+@pytest.mark.parametrize("measure", ["cm", "overlap", "goodall", "lin"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_similarity_never_dumps_the_matrix(capsys, monkeypatch, measure, fmt):
+    dumps = json.dumps
+
+    def guarded_dumps(obj, *pargs, **kwargs):
+        if isinstance(obj, dict) and "matrix" in obj:
+            raise AssertionError("similarity matrix encoded with json.dumps")
+        return dumps(obj, *pargs, **kwargs)
+
+    monkeypatch.setattr(mbclust.cli.json, "dumps", guarded_dumps)
+    assert main(["similarity", DATASET_A, "--measure", measure, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMILARITY_A_SHA256[measure, fmt]
+
+
+@pytest.mark.parametrize("measure, text", [
+    ("lin", "A,B\nx,y\nx,y\nx,y\n"),  # every category held by all objects
+    ("goodall", "A,B\nx,y\n"),  # one object has no category frequencies
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_similarity_failing_measure_writes_nothing(tmp_path, capsys, measure, text, fmt):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    out = tmp_path / "matrix.txt"
+    assert main(["similarity", str(data), "--measure", measure, "--format", fmt]) == 1
+    assert main(["similarity", str(data), "--measure", measure, "--format", fmt, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("error:") == 2
+    assert not out.exists()
 
 
 # Exit code and SHA-256 of the output of `importance --measure pgp2`, taken

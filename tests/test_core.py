@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,21 @@ def test_config_rejects_non_finite_alpha(alpha):
         MbcConfig(alpha=alpha).validated()
     with pytest.raises(ValueError, match="alpha"):
         run([[0, 1], [0, 2], [1, 2]], MbcConfig(tie_policy="pgp2", alpha=alpha))
+
+
+@pytest.mark.parametrize("anti_merge", ["false", "", 0.5, 0, 1, None, np.int64(1)])
+def test_config_rejects_non_bool_anti_merge(anti_merge):
+    with pytest.raises(ValueError, match=re.escape(f"anti_merge must be a bool, got {anti_merge!r}")):
+        MbcConfig(anti_merge=anti_merge).validated()
+    with pytest.raises(ValueError, match="anti_merge"):
+        run([[0, 1], [0, 2], [1, 2]], MbcConfig(anti_merge=anti_merge))
+
+
+@pytest.mark.parametrize("anti_merge", [True, False, np.bool_(True), np.bool_(False)])
+def test_config_accepts_bool_anti_merge(anti_merge):
+    config = MbcConfig(anti_merge=anti_merge).validated()
+    assert config.anti_merge is bool(anti_merge)
+    assert config.validated() == config
 
 
 def test_config_k_disables_containment():

@@ -35,8 +35,6 @@ from .importance import (
     importance_report,
     match_pair_counts,
     pgp,
-    pgp2,
-    pgp2_counts,
     pgp2_kept_counts,
     ppp,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "overlap",
     "pairwise_matrix",
     "pgp",
-    "pgp2",
-    "pgp2_counts",
     "pgp2_kept_counts",
     "ppp",
     "purity",

@@ -29,6 +29,9 @@ from .core import (
     IMPORTANCE_PPP,
     TIES_DROP_ALL,
     MbcConfig,
+    _groups_of,
+    _json_list,
+    _nested_json,
     run,
 )
 from .dataset import MISSING_CATEGORY, MISSING_REJECT, load_csv
@@ -99,6 +102,17 @@ def _config_echo(config: MbcConfig) -> dict:
     }
 
 
+def _cluster_json(labels: np.ndarray, stop_reason: str, iterations: int) -> str:
+    """The text of ``json.dumps(payload, indent=2)`` for the ``cluster``
+    payload of a partition, written from its labels."""
+    order, ends = _groups_of(labels)
+    return "".join([
+        '{\n  "assignments": ', *_json_list(list(map(str, (labels + 1).tolist())), 4),
+        ',\n  "clusters": ', _nested_json(np.array(list(map(str, order.tolist())), dtype=object), ends, 4),
+        f',\n  "stop_reason": {json.dumps(stop_reason)},\n  "iterations": {iterations}\n}}',
+    ])
+
+
 def _cmd_cluster(args) -> int:
     started = time.perf_counter()
     data = _load_dataset(args)
@@ -107,20 +121,10 @@ def _cmd_cluster(args) -> int:
     seconds = time.perf_counter() - started
 
     if args.format == "json":
-        payload = {
-            "assignments": [int(c) for c in result.assignments],
-            "clusters": [list(members) for members in result.partition],
-            "stop_reason": result.stop_reason,
-            "iterations": len(result.trace),
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_cluster_json(result.labels, result.stop_reason, len(result.trace)), args.out)
     else:
-        buf = io.StringIO()
-        writer = csvmod.writer(buf, lineterminator="\n")
-        writer.writerow(["object", "cluster"])
-        for obj, cid in enumerate(result.assignments):
-            writer.writerow([obj, int(cid)])
-        _emit(buf.getvalue(), args.out)
+        rows = enumerate(result.assignments.tolist())
+        _emit("object,cluster\n" + "".join(f"{obj},{cid}\n" for obj, cid in rows), args.out)
 
     if args.dendrogram_out:
         Path(args.dendrogram_out).write_text(result.dendrogram.to_json() + "\n", encoding="utf-8")
@@ -138,7 +142,7 @@ def _cmd_cluster(args) -> int:
             {"iteration": rec.iteration, "theta": rec.theta, "dropped": list(rec.dropped)}
             for rec in result.trace
         ],
-        "final_clusters": len(result.partition),
+        "final_clusters": result.dendrogram.level_sizes[result.level],
         "seconds": round(seconds, 6),
     }
     print(json.dumps(manifest, separators=(",", ":")), file=sys.stderr)

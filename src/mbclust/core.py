@@ -16,8 +16,8 @@ with the rule enabled cannot be cut at a chosen cluster count.
 
 The loop is array work: a state holds one entity label per object and
 one profile row per entity, and identical profiles are found by sorting
-one packed integer key per row. Member tuples are built only for the
-dendrogram, and there only for the entities that merged.
+one packed integer key per row. The dendrogram keeps each level's
+labels; member tuples and merge records are derived from them on demand.
 """
 
 from __future__ import annotations
@@ -68,8 +68,10 @@ class MbcConfig:
 
     def validated(self) -> "MbcConfig":
         """Normalized copy; raises ``ValueError`` on unusable settings."""
-        measure = self.importance_measure.lower()
-        policy = self.tie_policy.lower()
+        from numbers import Real
+
+        measure = self.importance_measure.lower() if isinstance(self.importance_measure, str) else None
+        policy = self.tie_policy.lower() if isinstance(self.tie_policy, str) else None
         if policy == "pgp2":
             policy = TIES_PGP2
         if measure not in (IMPORTANCE_PGP, IMPORTANCE_PPP):
@@ -84,9 +86,8 @@ class MbcConfig:
                 raise ValueError(f"k must be an integer, got {self.k!r}") from None
             if k < 1:
                 raise ValueError("k must be at least 1")
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real) or not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite real number, got {self.alpha!r}")
         if not isinstance(self.anti_merge, (bool, np.bool_)):
             raise ValueError(f"anti_merge must be a bool, got {self.anti_merge!r}")
         anti_merge = bool(self.anti_merge) and k is None
@@ -94,7 +95,7 @@ class MbcConfig:
             importance_measure=measure,
             tie_policy=policy,
             anti_merge=anti_merge,
-            alpha=alpha,
+            alpha=float(self.alpha),
             k=k,
         )
 
@@ -160,14 +161,28 @@ class ClusteringState:
     @cached_property
     def entities(self) -> tuple[tuple[int, ...], ...]:
         """Current clusters as ascending member tuples, in entity order."""
-        members = np.argsort(self.labels, kind="stable").tolist()
-        ends = np.cumsum(self.sizes).tolist()
-        return tuple(tuple(members[start:end]) for start, end in zip([0] + ends[:-1], ends))
+        return _member_tuples(self.labels)
 
     @cached_property
     def _groups(self) -> np.ndarray:
         """Per entity, the rank of its profile; see :func:`_profile_groups`."""
         return _profile_groups(self)
+
+
+def _groups_of(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objects in entity order, ascending within each entity, and the
+    end of each entity in that order; every entity has a member."""
+    # The narrowest dtype that holds the labels; numpy radix-sorts 8- and
+    # 16-bit keys when asked for a stable sort.
+    keys = labels.astype(np.min_scalar_type(len(labels)), copy=False)
+    return np.argsort(keys, kind="stable"), np.cumsum(np.bincount(labels))
+
+
+def _member_tuples(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Ascending member tuple of each entity, in entity order."""
+    order, ends = _groups_of(labels)
+    members, ends = order.tolist(), ends.tolist()
+    return tuple(tuple(members[start:end]) for start, end in zip([0] + ends[:-1], ends))
 
 
 def _labels_of(entities) -> np.ndarray:
@@ -329,73 +344,140 @@ class MergeEvent:
     children: tuple[int, ...]
     members: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "parent": self.parent,
-            "children": list(self.children),
-            "members": list(self.members),
-        }
 
-
-def _json_list(items, indent: int) -> str:
-    """A JSON list of rendered items as ``json.dumps(..., indent=2)`` lays it
-    out with the items ``indent`` spaces deep; no item renders empty."""
+def _json_list(items: list[str], indent: int) -> list[str]:
+    """The pieces of a JSON list of rendered items, laid out as
+    ``json.dumps(..., indent=2)`` does with the items ``indent`` spaces
+    deep; no item renders empty. Callers join all pieces of a text at
+    once, so that a long item is copied once."""
     pad = "\n" + " " * indent
-    body = ("," + pad).join(items)
-    return "[" + pad + body + pad[:-2] + "]" if body else "[]"
+    parts = ["," + pad] * (2 * len(items) + 1)
+    parts[1::2] = items
+    parts[0], parts[-1] = "[" + pad, pad[:-2] + "]"
+    return parts if items else ["[]"]
 
 
-@dataclass(frozen=True)
+def _nested_json(items: np.ndarray, ends: np.ndarray, indent: int) -> str:
+    """A JSON list of non-empty lists as ``json.dumps(..., indent=2)`` lays it
+    out with the inner lists ``indent`` spaces deep, from the rendered items
+    of all inner lists in order and the end of each inner list."""
+    if not len(items):
+        return "[]"
+    pad, inner = "\n" + " " * indent, "\n" + " " * (indent + 2)
+    parts = np.empty(2 * len(items) + 1, dtype=object)
+    parts[1::2] = items
+    parts[2:-1:2] = "," + inner
+    parts[2 * ends[:-1]] = pad + "]," + pad + "[" + inner
+    parts[0], parts[-1] = "[" + pad + "[" + inner, pad + "]" + pad[:-2] + "]"
+    return "".join(parts.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """Merge history of a run.
+    """Merge history of a run, stored as the partition at every level.
 
-    ``levels[0]`` is the all-singleton partition; ``levels[p + 1]`` is
-    the partition after iteration ``p``. ``anti_merge_used`` records
-    whether the containment rule actually froze a cluster, in which case
-    the recorded structure understates the merges and must not be cut.
+    ``labels[p]`` gives each object its entity index at level ``p``, with
+    entities numbered by smallest member. Level 0 is the all-singleton
+    partition; level ``p + 1``, the partition after iteration ``p``,
+    coarsens level ``p``. The merges of iteration ``p`` are the entities
+    of level ``p + 1`` that hold two or more entities of level ``p``;
+    they take the next free node ids after the leaves ``0..n-1``, in
+    entity order. Member tuples and merge records are derived on demand,
+    and the writers read the labels. ``anti_merge_used`` records whether
+    the containment rule froze a cluster, in which case the structure
+    understates the merges and must not be cut.
     """
 
     n_leaves: int
-    levels: tuple[tuple[tuple[int, ...], ...], ...]
-    merge_events: tuple[MergeEvent, ...]
+    labels: np.ndarray
     anti_merge_used: bool = False
 
-    @property
+    def __post_init__(self):
+        labels = np.array(self.labels, dtype=np.intp).reshape(len(self.labels), self.n_leaves)
+        if len(labels) and (labels[0] != np.arange(self.n_leaves)).any():
+            raise ValueError("level 0 must be the all-singleton partition")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def _merges(self) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
+        """Per level, the merges that formed it as ``(entity, parent,
+        children)``, with the children's node ids in entity order."""
+        nodes, next_node, formed = np.arange(self.n_leaves), self.n_leaves, [()]
+        for old, new in zip(self.labels, self.labels[1:]):
+            # New entity of each old one; the old entities of each new one,
+            # in entity order, are a run of ``children``.
+            new_of_old = np.empty(len(nodes), dtype=np.intp)
+            new_of_old[old] = new
+            children, ends = _groups_of(new_of_old)
+            counts = np.bincount(new_of_old)
+            merged = np.flatnonzero(counts > 1)
+            child_nodes = tuple(nodes[children[np.repeat(counts > 1, counts)]].tolist())
+            cuts = np.cumsum(counts[merged]).tolist()
+            nodes = nodes[children[ends - counts]]
+            nodes[merged] = np.arange(next_node, next_node + len(merged))
+            next_node += len(merged)
+            runs = map(slice, [0] + cuts[:-1], cuts)
+            formed.append(tuple(zip(merged.tolist(), nodes[merged].tolist(), map(child_nodes.__getitem__, runs))))
+        return tuple(formed)
+
+    @cached_property
     def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        """Number of entities at each level."""
+        return tuple((self.labels.max(axis=1, initial=-1) + 1).tolist())
+
+    @cached_property
+    def levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each level's entities as ascending member tuples, in entity order."""
+        return tuple(map(_member_tuples, self.labels))
+
+    @cached_property
+    def merge_events(self) -> tuple[MergeEvent, ...]:
+        """Every merge, in node id order."""
+        return tuple(
+            MergeEvent(p - 1, parent, children, self.levels[p][idx])
+            for p, merges in enumerate(self._merges)
+            for idx, parent, children in merges
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "n_leaves": self.n_leaves,
-            "levels": [[list(ent) for ent in level] for level in self.levels],
-            "merges": [ev.to_dict() for ev in self.merge_events],
-            "anti_merge_used": self.anti_merge_used,
-        }
+        objects = np.arange(self.n_leaves).astype(object)  # one int per object, shared by every level
+        levels, merges = [], []
+        for p, (labels, formed) in enumerate(zip(self.labels, self._merges)):
+            order, ends = _groups_of(labels)
+            members, ends = objects[order].tolist(), ends.tolist()
+            level = [members[start:end] for start, end in zip([0] + ends[:-1], ends)]
+            levels.append(level)
+            merges += ({"iteration": p - 1, "parent": parent, "children": list(children), "members": list(level[idx])}
+                       for idx, parent, children in formed)
+        return {"n_leaves": self.n_leaves, "levels": levels, "merges": merges, "anti_merge_used": self.anti_merge_used}
 
     def to_json(self) -> str:
         """The text of ``json.dumps(self.to_dict(), indent=2)``, written directly.
 
-        :func:`run` shares member tuples between levels, and a merge's
-        ``members`` is the tuple of its level entry. Both lists sit at
-        the same depth, so each distinct tuple is rendered once, keyed by
-        ``id`` while ``self`` keeps it alive.
+        Each object number is rendered once. A level joins those texts in
+        the stable argsort order of its labels, and a merge's ``members``
+        joins the same texts of the entity it formed.
         """
-        tuples = {id(ent): ent for level in self.levels for ent in level}
-        tuples.update((id(ev.members), ev.members) for ev in self.merge_events)
-        text = {key: _json_list(map(str, ent), 8) for key, ent in tuples.items()}
-        levels = (_json_list(map(text.__getitem__, map(id, level)), 6) for level in self.levels)
-        merges = (
-            f'{{\n      "iteration": {ev.iteration},\n      "parent": {ev.parent},\n'
-            f'      "children": {_json_list(map(str, ev.children), 8)},\n'
-            f'      "members": {text[id(ev.members)]}\n    }}'
-            for ev in self.merge_events
-        )
-        return (
-            f'{{\n  "n_leaves": {self.n_leaves},\n  "levels": {_json_list(levels, 4)},\n'
-            f'  "merges": {_json_list(merges, 4)},\n'
-            f'  "anti_merge_used": {"true" if self.anti_merge_used else "false"}\n}}'
-        )
+        numbers = np.array([str(i) for i in range(self.n_leaves)], dtype=object)
+        sep = ",\n        "
+        levels, merges = [], []
+        for p, (labels, formed) in enumerate(zip(self.labels, self._merges)):
+            order, ends = _groups_of(labels)
+            items = numbers[order]
+            levels.append(_nested_json(items, ends, 6))
+            items, bounds = items.tolist(), [0] + ends.tolist()
+            merges += (
+                f'{{\n      "iteration": {p - 1},\n      "parent": {parent},\n'
+                f'      "children": [\n        {sep.join(map(str, children))}\n      ],\n'
+                f'      "members": [\n        {sep.join(items[bounds[idx]:bounds[idx + 1]])}\n      ]\n    }}'
+                for idx, parent, children in formed
+            )
+        return "".join([
+            f'{{\n  "n_leaves": {self.n_leaves},\n  "levels": ', *_json_list(levels, 4),
+            ',\n  "merges": ', *_json_list(merges, 4),
+            f',\n  "anti_merge_used": {"true" if self.anti_merge_used else "false"}\n}}',
+        ])
 
     def to_newick(self) -> str:
         """Newick rendering; leaves are object row indices.
@@ -404,43 +486,37 @@ class Dendrogram:
         of their smallest member. Multiple roots are joined under one
         synthetic root so the output is always a single tree.
         """
-        by_parent = {ev.parent: ev for ev in self.merge_events}
-        children = {child for ev in self.merge_events for child in ev.children}
-        roots = sorted([(i, i) for i in range(self.n_leaves) if i not in children]
-                       + [(ev.members[0], ev.parent) for ev in self.merge_events if ev.parent not in children])
+        text = dict(enumerate(map(str, range(self.n_leaves))))
+        low = list(range(self.n_leaves))  # smallest member of each node
+        for merges in self._merges:
+            for _, parent, children in merges:
+                low.append(low[children[0]])
+                text[parent] = "(" + ",".join(map(text.pop, children)) + ")"
+        roots = [text[node] for node in sorted(text, key=low.__getitem__)]
+        return (roots[0] if len(roots) == 1 else "(" + ",".join(roots) + ")") + ";"
 
-        def render(node: int) -> str:
-            if node < self.n_leaves:
-                return str(node)
-            ev = by_parent[node]
-            return "(" + ",".join(render(child) for child in ev.children) + ")"
 
-        if len(roots) == 1:
-            return render(roots[0][1]) + ";"
-        return "(" + ",".join(render(node) for _, node in roots) + ");"
+def _cut_level(dendrogram: Dendrogram, k: int) -> int:
+    """Index of the level that :func:`cut_at_k` returns."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not len(dendrogram.labels):
+        raise ValueError("dendrogram has no levels")
+    if dendrogram.anti_merge_used:
+        raise MbcError("dendrogram was censored by the containment rule; rerun with anti_merge=False")
+    sizes = dendrogram.level_sizes
+    return min(range(len(sizes)), key=lambda p: (abs(sizes[p] - k), -p))
 
 
 def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
     """Partition whose cluster count is closest to ``k``.
 
-    Levels are scanned from fine to coarse and a tie in closeness goes
-    to the coarser level. Refuses dendrograms censored by the
-    containment rule, because their levels misstate the merge history.
+    A tie in closeness goes to the coarser level. The level is chosen by
+    its size, and only its member tuples are built. Refuses dendrograms
+    censored by the containment rule, because their levels misstate the
+    merge history.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not dendrogram.levels:
-        raise ValueError("dendrogram has no levels")
-    if dendrogram.anti_merge_used:
-        raise MbcError("dendrogram was censored by the containment rule; rerun with anti_merge=False")
-    best = dendrogram.levels[0]
-    best_d = abs(len(best) - k)
-    for level in dendrogram.levels[1:]:
-        d = abs(len(level) - k)
-        if d <= best_d:
-            best = level
-            best_d = d
-    return best
+    return _member_tuples(dendrogram.labels[_cut_level(dendrogram, k)])
 
 
 @dataclass(frozen=True)
@@ -471,26 +547,28 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class MbcResult:
-    """Outcome of a clustering run."""
+    """Outcome of a clustering run; its partition is dendrogram level ``level``."""
 
-    partition: tuple[tuple[int, ...], ...]
     dendrogram: Dendrogram
+    level: int
     trace: tuple[IterationRecord, ...]
     config: MbcConfig
     stop_reason: str
 
     @property
-    def n_objects(self) -> int:
-        return self.dendrogram.n_leaves
+    def labels(self) -> np.ndarray:
+        """Per-object index of its cluster in :attr:`partition`."""
+        return self.dendrogram.labels[self.level]
+
+    @cached_property
+    def partition(self) -> tuple[tuple[int, ...], ...]:
+        """Clusters as ascending member tuples, ordered by smallest member."""
+        return _member_tuples(self.labels)
 
     @property
     def assignments(self) -> np.ndarray:
         """Per-object cluster ids, 1-based, in partition order."""
-        sizes = [len(members) for members in self.partition]
-        objects = np.fromiter(chain.from_iterable(self.partition), dtype=np.intp, count=sum(sizes))
-        out = np.zeros(self.n_objects, dtype=np.int64)
-        out[objects] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-        return out
+        return self.labels + 1
 
 
 def run(data, config: MbcConfig | None = None) -> MbcResult:
@@ -507,16 +585,8 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         data = Dataset.from_codes(np.asarray(data, dtype=np.int64))
 
     state = initial_state(data)
-    n = len(state.labels)
-    # Member tuples of the current entities. Unmerged entities keep their
-    # tuple from level to level, and merged ones are built from their
-    # children's, so every level shares one int object per object.
-    level = tuple((i,) for i in range(n))
-    levels: list[tuple[tuple[int, ...], ...]] = [level]
-    merge_events: list[MergeEvent] = []
+    labels = [state.labels]
     trace: list[IterationRecord] = []
-    node_ids = np.arange(n)
-    next_node = n
     anti_merge_used = False
 
     while True:
@@ -524,34 +594,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         report = importance_report(state.profiles, feature_names=names)
 
         grouped = group_matching(state)
-        if grouped is not state:
-            # New entity of each old one; the old entities of each new one,
-            # in entity order, are a run of ``children``.
-            new_of_old = np.empty(len(level), dtype=np.intp)
-            new_of_old[state.labels] = grouped.labels
-            children = np.argsort(new_of_old, kind="stable")
-            counts = np.bincount(new_of_old)
-            ends = np.cumsum(counts)
-            first = children[ends - counts]
-            old_nodes = node_ids
-            node_ids = node_ids[first]
-            new_level = list(map(level.__getitem__, first.tolist()))
-            for idx in np.flatnonzero(counts > 1).tolist():
-                olds = children[ends[idx] - counts[idx]:ends[idx]]
-                members = tuple(sorted(chain.from_iterable(map(level.__getitem__, olds.tolist()))))
-                merge_events.append(
-                    MergeEvent(
-                        iteration=state.iteration,
-                        parent=next_node,
-                        children=tuple(old_nodes[olds].tolist()),
-                        members=members,
-                    )
-                )
-                new_level[idx] = members
-                node_ids[idx] = next_node
-                next_node += 1
-            level = tuple(new_level)
-        levels.append(level)
+        labels.append(grouped.labels)
 
         if (grouped.sizes >= 2).all():
             trace.append(IterationRecord(state.iteration, state.theta, names, report, ()))
@@ -581,17 +624,6 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
                 anti_merge_used = True
                 state = frozen
 
-    dendrogram = Dendrogram(
-        n_leaves=n,
-        levels=tuple(levels),
-        merge_events=tuple(merge_events),
-        anti_merge_used=anti_merge_used,
-    )
-    partition = cut_at_k(dendrogram, config.k) if config.k is not None else level
-    return MbcResult(
-        partition=partition,
-        dendrogram=dendrogram,
-        trace=tuple(trace),
-        config=config,
-        stop_reason=stop_reason,
-    )
+    dendrogram = Dendrogram(n_leaves=len(labels[0]), labels=labels, anti_merge_used=anti_merge_used)
+    level = len(labels) - 1 if config.k is None else _cut_level(dendrogram, config.k)
+    return MbcResult(dendrogram, level, tuple(trace), config, stop_reason)

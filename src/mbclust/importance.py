@@ -9,7 +9,7 @@ Three rankings are provided:
   for features that tell objects apart.
 * ``pgp2``: a second-stage score used to break ties. It asks how much of
   the pairwise similarity structure survives when a candidate feature
-  set is removed, as a ratio of pairs whose match count exceeds a threshold.
+  is removed, as a ratio of pairs whose match count exceeds a threshold.
   :func:`pgp2_kept_counts` scores many single-feature candidates in one
   pass over the entity pairs, without a match-count matrix; the
   clustering loop's tie-break and the ``importance`` command use it.
@@ -30,7 +30,6 @@ import numpy as np
 
 from .dataset import as_codes
 from .errors import DegenerateDataError
-from .similarity import SimilarityMatrix, build_sm, update_sm_after_drop
 
 # Rows per block of the pgp2_kept_counts sweep; a block holds
 # features x rows x entities booleans.
@@ -125,51 +124,19 @@ def ppp(data) -> tuple[Fraction, ...]:
     return report.ppp
 
 
-def pgp2_counts(data, sm: SimilarityMatrix, candidates: Iterable[int], alpha: float = 0.0) -> tuple[int, int]:
-    """Marked-pair counts (after drop, before drop) behind :func:`pgp2`."""
-    codes = as_codes(data)
-    gim = int((sm.values > alpha).sum())
-    drop = sorted({int(c) for c in candidates})
-    if not drop:
-        return gim, gim
-    if len(drop) >= codes.shape[1]:
-        # Dropping everything leaves no matches at all.
-        return 0, gim
-    reduced = update_sm_after_drop(sm, codes, drop)
-    pim = int((reduced.values > alpha).sum())
-    return pim, gim
-
-
-def pgp2(data, sm: SimilarityMatrix | None = None, candidates: Iterable[int] = (), alpha: float = 0.0) -> Fraction:
-    """Fraction of marked similarity pairs surviving a candidate feature drop.
-
-    ``sm`` defaults to a fresh match-count matrix over ``data``. A pair
-    is marked when its match count exceeds ``alpha``. An empty candidate
-    set scores exactly 1. Raises :class:`DegenerateDataError` when no
-    pair is marked even before the drop.
-    """
-    if sm is None:
-        sm = build_sm(data)
-    pim, gim = pgp2_counts(data, sm, candidates, alpha)
-    if gim == 0:
-        raise DegenerateDataError("no pair exceeds the influence threshold; the ratio is undefined")
-    return Fraction(pim, gim)
-
-
 def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tuple[tuple[int, ...], int]:
     """Marked pairs kept when each candidate column alone is dropped.
 
     Returns ``(kept, marked)``: ``marked`` counts the pairs whose match
     count exceeds ``alpha``, and ``kept[k]`` how many of them still
-    exceed it once column ``candidates[k]`` is dropped, which is
-    ``pgp2_counts(data, build_sm(data), (candidates[k],), alpha)[0]``.
+    exceed it once column ``candidates[k]`` is dropped.
 
     With ``t`` the smallest marked count, dropping column ``c`` unmarks
     exactly the pairs that match on ``t`` columns, ``c`` among them. One
     sweep over blocks of rows counts those pairs for every column at
     once, so no match-count matrix is built and memory stays at one
     block of features x rows x entities booleans. Dropping the only
-    column keeps no pair, as in :func:`pgp2_counts`.
+    column keeps no pair.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):

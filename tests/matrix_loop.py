@@ -4,16 +4,20 @@ This is the loop as it stood before the library switched to grouping
 entities by profile identity: every round rebuilds the full e x e
 match-count matrix, merges the connected components of its
 full-agreement pairs with a union-find, and enforces the containment
-rule by severing full-agreement entries in the matrix. It is kept
-verbatim, with only its imports adapted and its branch for ranking
+rule by severing full-agreement entries in the matrix. Its dendrogram
+keeps every level as member tuples and records each merge as it
+happens, as the library's did before it stored levels as labels. It is
+kept verbatim, with only its imports adapted and its branch for ranking
 features over the original objects removed, so that property tests
-can check the library's loop against it under every configuration.
+can check the library's loop, and everything the library derives from
+its labels, against it under every configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -24,19 +28,129 @@ from mbclust import (
     TIES_DROP_ALL,
     Dataset,
     DegenerateDataError,
-    Dendrogram,
     ImportanceReport,
     IterationRecord,
     MbcConfig,
-    MbcResult,
-    MergeEvent,
+    MbcError,
     SimilarityMatrix,
     build_sm,
     condensed_index,
-    cut_at_k,
     importance_report,
-    pgp2,
 )
+from pgp2_matrix import pgp2
+
+
+@dataclass(frozen=True)
+class MergeEvent:
+    """One merge in the dendrogram.
+
+    Leaves are numbered ``0..n-1``; each merge gets the next free node
+    id. ``children`` lists the merged nodes in entity order and may have
+    more than two entries, since full agreement can join several
+    entities at once.
+    """
+
+    iteration: int
+    parent: int
+    children: tuple[int, ...]
+    members: tuple[int, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "iteration": self.iteration,
+            "parent": self.parent,
+            "children": list(self.children),
+            "members": list(self.members),
+        }
+
+
+@dataclass(frozen=True)
+class Dendrogram:
+    """Merge history of a run.
+
+    ``levels[0]`` is the all-singleton partition; ``levels[p + 1]`` is
+    the partition after iteration ``p``. ``anti_merge_used`` records
+    whether the containment rule actually froze a cluster, in which case
+    the recorded structure understates the merges and must not be cut.
+    """
+
+    n_leaves: int
+    levels: tuple[tuple[tuple[int, ...], ...], ...]
+    merge_events: tuple[MergeEvent, ...]
+    anti_merge_used: bool = False
+
+    def to_dict(self) -> dict:
+        return {
+            "n_leaves": self.n_leaves,
+            "levels": [[list(ent) for ent in level] for level in self.levels],
+            "merges": [ev.to_dict() for ev in self.merge_events],
+            "anti_merge_used": self.anti_merge_used,
+        }
+
+    def to_newick(self) -> str:
+        """Newick rendering; leaves are object row indices.
+
+        The roots are the nodes that no merge lists as a child, in order
+        of their smallest member. Multiple roots are joined under one
+        synthetic root so the output is always a single tree.
+        """
+        by_parent = {ev.parent: ev for ev in self.merge_events}
+        children = {child for ev in self.merge_events for child in ev.children}
+        roots = sorted([(i, i) for i in range(self.n_leaves) if i not in children]
+                       + [(ev.members[0], ev.parent) for ev in self.merge_events if ev.parent not in children])
+
+        def render(node: int) -> str:
+            if node < self.n_leaves:
+                return str(node)
+            ev = by_parent[node]
+            return "(" + ",".join(render(child) for child in ev.children) + ")"
+
+        if len(roots) == 1:
+            return render(roots[0][1]) + ";"
+        return "(" + ",".join(render(node) for _, node in roots) + ");"
+
+
+def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
+    """Partition whose cluster count is closest to ``k``.
+
+    Levels are scanned from fine to coarse and a tie in closeness goes
+    to the coarser level. Refuses dendrograms censored by the
+    containment rule, because their levels misstate the merge history.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not dendrogram.levels:
+        raise ValueError("dendrogram has no levels")
+    if dendrogram.anti_merge_used:
+        raise MbcError("dendrogram was censored by the containment rule; rerun with anti_merge=False")
+    best = dendrogram.levels[0]
+    best_d = abs(len(best) - k)
+    for level in dendrogram.levels[1:]:
+        d = abs(len(level) - k)
+        if d <= best_d:
+            best = level
+            best_d = d
+    return best
+
+
+@dataclass(frozen=True)
+class MbcResult:
+    """Outcome of a clustering run."""
+
+    partition: tuple[tuple[int, ...], ...]
+    dendrogram: Dendrogram
+    trace: tuple[IterationRecord, ...]
+    config: MbcConfig
+    stop_reason: str
+
+    @property
+    def assignments(self) -> np.ndarray:
+        """Per-object cluster ids, 1-based, in partition order."""
+        sizes = [len(members) for members in self.partition]
+        objects = np.fromiter(chain.from_iterable(self.partition), dtype=np.intp, count=sum(sizes))
+        out = np.zeros(self.dendrogram.n_leaves, dtype=np.int64)
+        out[objects] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,8 @@
 Everything here was computed by hand from the raw CSV rows (and
 cross-checked with throwaway brute-force scripts) before the library
 was written, so these constants are independent of the code under test.
+:func:`labels_of_levels` turns hand-written levels into the labels that
+a ``Dendrogram`` stores.
 """
 
 from fractions import Fraction
@@ -86,3 +88,15 @@ PAIR_MEASURES_D42 = (
     (0.0, 0.0, 0.0),
 )
 PPP_D42 = (Fraction(1, 2), Fraction(1, 2))
+
+
+def labels_of_levels(levels, n_leaves: int) -> np.ndarray:
+    """Entity index of each object at each level, from each level's member
+    tuples in entity order; every level must hold every object once."""
+    labels = np.full((len(levels), n_leaves), -1, dtype=np.intp)
+    for row, level in zip(labels, levels):
+        for idx, members in enumerate(level):
+            row[list(members)] = idx
+    covered = sum(len(members) for level in levels for members in level)
+    assert (labels >= 0).all() and covered == labels.size, "a level does not cover every object once"
+    return labels

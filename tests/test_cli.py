@@ -2,11 +2,14 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbclust.cli
 import pairwise_loop
-from mbclust import Dendrogram, MbcConfig, load_csv
+from mbclust import STOP_ALL_CLUSTERED, STOP_TIED_IMPORTANCE, Dendrogram, MbcConfig, load_csv
 from mbclust.cli import main
 from conftest import DATA_DIR
 from oracles import NEWICK_A
@@ -143,6 +146,66 @@ def test_dendrogram_output_skips_dict_and_indented_encoder(args, tmp_path, capsy
     monkeypatch.setattr(json, "dumps", guarded_dumps)
     out = _dendrogram_bytes(args, tmp_path, capsys)
     assert out.startswith(b'{\n  "n_leaves": 10,\n')
+
+
+# SHA-256 of what `cluster --format FMT` prints, recorded when the payload
+# was written with json.dumps(payload, indent=2) and csv.writer.
+CLUSTER_SHA256 = {
+    ("dataset_a.csv", "json"): "f8541e38e04a3d4476e756dc8084491a6f04e1c79a3fd449aa99ae7c60428a2f",
+    ("dataset_a.csv", "csv"): "1877a70e04b66ed23941ed5ab4ca4ca9443e21a4f4a41b1a823a06f3e61c3ee7",
+    ("d42.csv", "json"): "0b908ce3aad9404a9dfc340f2b1daa4dbd1eee26f1827dd4c2f51a5329e715b6",
+    ("d42.csv", "csv"): "267184ad0297a22f233d52cd0d18872380a405238d0bae19abb49278ee6cb91b",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(CLUSTER_SHA256))
+def test_cluster_output_bytes_pinned(capsys, name, fmt):
+    assert main(["cluster", str(DATA_DIR / name), "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLUSTER_SHA256[name, fmt]
+
+
+@st.composite
+def partitions(draw):
+    """Entity labels of a random partition, numbered by smallest member."""
+    raw = draw(st.lists(st.integers(0, 6), max_size=30))
+    first = {}
+    return np.array([first.setdefault(v, len(first)) for v in raw], dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(labels=partitions(), stop_reason=st.sampled_from([STOP_ALL_CLUSTERED, STOP_TIED_IMPORTANCE]) | st.text(),
+       iterations=st.integers(0, 10**6))
+def test_cluster_json_equals_indented_dump(labels, stop_reason, iterations):
+    clusters = {}
+    for obj, label in enumerate(labels.tolist()):
+        clusters.setdefault(label, []).append(obj)
+    payload = {
+        "assignments": [label + 1 for label in labels.tolist()],
+        "clusters": [clusters[label] for label in sorted(clusters)],
+        "stop_reason": stop_reason,
+        "iterations": iterations,
+    }
+    assert mbclust.cli._cluster_json(labels, stop_reason, iterations) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", DATASET_A, "--format", "json"],
+    ["cluster", DATASET_A, "--k", "3", "--format", "json"],
+    ["cluster", DATASET_A],
+    ["dendrogram", DATASET_A],
+    ["dendrogram", DATASET_A, "--format", "newick"],
+])
+def test_commands_derive_no_member_tuples_or_merge_events(argv, tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("derived dendrogram tuples computed")
+
+    monkeypatch.setattr(Dendrogram, "levels", property(refuse))
+    monkeypatch.setattr(Dendrogram, "merge_events", property(refuse))
+    if argv[0] == "cluster":
+        argv = argv + ["--dendrogram-out", str(tmp_path / "d.json"), "--newick-out", str(tmp_path / "t.nwk"),
+                       "--trace-out", str(tmp_path / "trace.json"), "--manifest-out", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
 
 
 def test_importance_text_ranked(capsys):

@@ -30,6 +30,7 @@ from oracles import (
     PARTITION_A,
     SM_A_AFTER_FIRST_DROP,
     SM_A_AFTER_SECOND_DROP,
+    labels_of_levels,
 )
 
 
@@ -67,6 +68,24 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="k"):
         MbcConfig(k=2.7).validated()
     assert MbcConfig(k=np.int64(2)).validated().k == 2
+
+
+@pytest.mark.parametrize("field", ["importance_measure", "tie_policy"])
+@pytest.mark.parametrize("value", [None, 3, b"pgp"])
+def test_config_rejects_non_str_names(field, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        MbcConfig(**{field: value}).validated()
+
+
+@pytest.mark.parametrize("alpha", ["2.5", True, False, np.True_, None, 1j])
+def test_config_rejects_non_real_alpha(alpha):
+    with pytest.raises(ValueError, match=re.escape(repr(alpha))):
+        MbcConfig(alpha=alpha).validated()
+
+
+@pytest.mark.parametrize("alpha", [2, 2.5, np.float32(2.5), np.int64(2)])
+def test_config_accepts_real_alpha(alpha):
+    assert MbcConfig(alpha=alpha).validated().alpha == float(alpha)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
@@ -336,6 +355,10 @@ def test_dendrogram_dict_roundtrip(dataset_a):
     assert [len(level) for level in payload["levels"]] == [10, 8, 4, 2]
     assert payload["merges"][0] == {"iteration": 0, "parent": 10, "children": [0, 1], "members": [0, 1]}
     assert payload["anti_merge_used"] is False
+    payload["merges"][0]["children"].append(99)
+    payload["levels"][1][0].append(99)
+    assert dendro.to_dict()["merges"][0] == {"iteration": 0, "parent": 10, "children": [0, 1], "members": [0, 1]}
+    assert dendro.to_newick() == NEWICK_A
 
 
 def test_run_with_k(dataset_a):
@@ -353,9 +376,35 @@ def test_cut_at_k_validation(dataset_a):
     open_dendro = run(dataset_a, MbcConfig(anti_merge=False)).dendrogram
     with pytest.raises(ValueError):
         cut_at_k(open_dendro, 0)
-    empty = Dendrogram(n_leaves=0, levels=(), merge_events=())
+    empty = Dendrogram(n_leaves=0, labels=labels_of_levels((), 0))
     with pytest.raises(ValueError):
         cut_at_k(empty, 1)
+
+
+def test_cut_at_k_builds_one_level(dataset_a, monkeypatch):
+    dendro = run(dataset_a, MbcConfig(anti_merge=False)).dendrogram
+    built = []
+    member_tuples = mbclust.core._member_tuples
+
+    def counting(labels):
+        built.append(labels)
+        return member_tuples(labels)
+
+    monkeypatch.setattr(mbclust.core, "_member_tuples", counting)
+    assert cut_at_k(dendro, 3) == ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9))
+    assert len(built) == 1 and np.array_equal(built[0], dendro.labels[3])  # sizes 10, 8, 4, 2; ties go coarser
+    assert "levels" not in vars(dendro) and "merge_events" not in vars(dendro)
+
+
+def test_dendrogram_checks_its_labels():
+    with pytest.raises(ValueError, match="singleton"):
+        Dendrogram(n_leaves=2, labels=[[0, 0]])
+    with pytest.raises(ValueError):
+        Dendrogram(n_leaves=3, labels=[[0, 1]])
+    labels = np.array([[0, 1], [0, 0]])
+    dendro = Dendrogram(n_leaves=2, labels=labels)
+    labels[1, 1] = 1
+    assert dendro.level_sizes == (2, 1) and not dendro.labels.flags.writeable
 
 
 def test_levels_are_coarsenings(dataset_a):
@@ -395,8 +444,9 @@ def test_run_builds_no_match_matrix_under_drop_all(dataset_a, monkeypatch, anti_
     def refuse(*args, **kwargs):
         raise AssertionError("build_sm called")
 
-    monkeypatch.setattr(mbclust.similarity, "build_sm", refuse)
-    monkeypatch.setattr(mbclust.importance, "build_sm", refuse)
+    for module in (mbclust.similarity, mbclust.importance, mbclust.core):
+        if hasattr(module, "build_sm"):
+            monkeypatch.setattr(module, "build_sm", refuse)
     result = run(dataset_a, MbcConfig(anti_merge=anti_merge))
     assert result.dendrogram.anti_merge_used is anti_merge
     assert len(result.partition) == (4 if anti_merge else 2)

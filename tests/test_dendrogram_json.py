@@ -1,9 +1,10 @@
 """``Dendrogram.to_json`` against its oracle, ``json.dumps(to_dict(), indent=2)``.
 
-The writer renders each shared member tuple once and joins the levels
-and merges with fixed separators, so its text must equal the generic
-encoder's byte for byte on every run configuration and on hand-built
-dendrograms that :func:`run` never produces.
+The writer renders each object number once and joins the levels and
+merges straight from the level labels with fixed separators, so its text
+must equal the generic encoder's byte for byte on every run
+configuration and on hand-built dendrograms that :func:`run` never
+produces.
 """
 
 import json
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mbclust import Dendrogram, MbcConfig, MergeEvent, run
+from mbclust import Dendrogram, MbcConfig, run
+from oracles import labels_of_levels
 from test_equivalence import GRID, code_matrices
 
 
@@ -29,19 +31,32 @@ def test_to_json_equals_indented_dump_of_to_dict(measure, ties, anti_merge, code
     assert_oracle_text(run(codes, config).dendrogram)
 
 
-@pytest.mark.parametrize("dendrogram", [
-    Dendrogram(n_leaves=0, levels=(), merge_events=()),
-    Dendrogram(n_leaves=0, levels=((),), merge_events=()),
-    Dendrogram(n_leaves=1, levels=(((0,),),), merge_events=()),
-    Dendrogram(n_leaves=3, levels=(((0,), (1,), (2,)),) * 2, merge_events=()),
-    Dendrogram(n_leaves=3, levels=(((0,), (1,), (2,)),), merge_events=(), anti_merge_used=True),
-    # members equal to, but not the same object as, the level entry
-    Dendrogram(
-        n_leaves=3,
-        levels=(((0,), (1,), (2,)), ((0, 1), (2,)), ((0, 1, 2),)),
-        merge_events=(MergeEvent(0, 3, (0, 1), tuple(range(2))), MergeEvent(1, 4, (3, 2), tuple(range(3)))),
-        anti_merge_used=True,
-    ),
-], ids=["empty", "empty-level", "single-object", "no-merges", "censored-no-merges", "unshared-members"])
-def test_to_json_of_hand_built_dendrograms(dendrogram):
+SINGLETONS = ((0,), (1,), (2,))
+
+
+@pytest.mark.parametrize("levels, n_leaves, anti_merge_used", [
+    ((), 0, False),
+    (((),), 0, False),
+    ((((0,),),), 1, False),
+    ((SINGLETONS,) * 2, 3, False),
+    ((SINGLETONS,), 3, True),
+    ((SINGLETONS, ((0, 1), (2,)), ((0, 1, 2),)), 3, True),
+    ((((0,), (1,), (2,), (3,)), ((0, 2, 3), (1,)), ((0, 1, 2, 3),)), 4, False),
+], ids=["empty", "empty-level", "single-object", "no-merges", "censored-no-merges", "censored-two-merges",
+        "three-way-merge"])
+def test_to_json_of_hand_built_dendrograms(levels, n_leaves, anti_merge_used):
+    dendrogram = Dendrogram(n_leaves=n_leaves, labels=labels_of_levels(levels, n_leaves),
+                            anti_merge_used=anti_merge_used)
+    assert dendrogram.levels == levels
     assert_oracle_text(dendrogram)
+
+
+def test_merges_derived_from_hand_built_levels():
+    levels = (((0,), (1,), (2,), (3,)), ((0, 2, 3), (1,)), ((0, 1, 2, 3),))
+    dendrogram = Dendrogram(n_leaves=4, labels=labels_of_levels(levels, 4))
+    assert [(ev.iteration, ev.parent, ev.children, ev.members) for ev in dendrogram.merge_events] == [
+        (0, 4, (0, 2, 3), (0, 2, 3)),
+        (1, 5, (4, 1), (0, 1, 2, 3)),
+    ]
+    assert dendrogram.level_sizes == (4, 2, 1)
+    assert dendrogram.to_newick() == "((0,2,3),1);"

@@ -2,10 +2,15 @@
 
 ``matrix_loop.run`` merges and applies the containment rule on a full
 match-count matrix; ``mbclust.run`` groups identical profiles and freezes
-colliding clusters. Every observable output must be identical.
+colliding clusters. Every observable output must be identical. The
+reference records its dendrogram as member tuples and merge events while
+it runs, so it also checks everything that ``mbclust.Dendrogram`` derives
+from its level labels: the levels, the merges, the level sizes and the
+three writers.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -57,4 +62,12 @@ GRID = [pytest.param(*cell, id="-".join(map(str, cell)) + "-entities")
 @given(codes=code_matrices(), k=st.sampled_from([None, 1, 2, 3, 5]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
 def test_run_equals_matrix_loop(measure, ties, anti_merge, codes, k, alpha):
     config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge, k=k, alpha=alpha)
-    assert _observed(run(codes, config)) == _observed(matrix_loop.run(codes, config))
+    result, expected = run(codes, config), matrix_loop.run(codes, config)
+    assert _observed(result) == _observed(expected)
+    assert list(result.assignments) == list(expected.assignments)
+    dendrogram, reference = result.dendrogram, expected.dendrogram
+    assert dendrogram.levels == reference.levels
+    assert dendrogram.level_sizes == tuple(map(len, reference.levels))
+    assert [(ev.iteration, ev.parent, ev.children, ev.members) for ev in dendrogram.merge_events] == \
+        [(ev.iteration, ev.parent, ev.children, ev.members) for ev in reference.merge_events]
+    assert dendrogram.to_json() == json.dumps(reference.to_dict(), indent=2)

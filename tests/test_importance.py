@@ -10,8 +10,6 @@ from mbclust import (
     importance_report,
     match_pair_counts,
     pgp,
-    pgp2,
-    pgp2_counts,
     ppp,
 )
 from oracles import (
@@ -24,6 +22,7 @@ from oracles import (
     PPP_A,
     PPP_D42,
 )
+from pgp2_matrix import pgp2, pgp2_counts
 
 
 def test_match_pair_counts(dataset_a):

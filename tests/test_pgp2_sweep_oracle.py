@@ -23,13 +23,13 @@ from mbclust import (
     MbcConfig,
     build_sm,
     importance_report,
-    pgp2_counts,
     pgp2_kept_counts,
     run,
     select_drop,
 )
 from mbclust.cli import main
 from conftest import DATA_DIR
+from pgp2_matrix import pgp2_counts
 from test_equivalence import code_matrices
 
 

@@ -23,6 +23,7 @@ from mbclust import (
     initial_state,
     run,
 )
+from oracles import labels_of_levels
 from test_equivalence import GRID, code_matrices
 
 
@@ -60,4 +61,4 @@ def test_trace_replay_reproduces_levels_and_partition(measure, ties, anti_merge,
     if k is None:
         assert result.partition == levels[-1]
     else:
-        assert result.partition == cut_at_k(Dendrogram(n_leaves=len(codes), levels=levels, merge_events=()), k)
+        assert result.partition == cut_at_k(Dendrogram(len(codes), labels_of_levels(levels, len(codes))), k)

@@ -127,7 +127,9 @@ def _cmd_cluster(args) -> int:
         _emit("object,cluster\n" + "".join(f"{obj},{cid}\n" for obj, cid in rows), args.out)
 
     if args.dendrogram_out:
-        Path(args.dendrogram_out).write_text(result.dendrogram.to_json() + "\n", encoding="utf-8")
+        with open(args.dendrogram_out, "w", encoding="utf-8") as fh:
+            fh.write(result.dendrogram.to_json())
+            fh.write("\n")
     if args.newick_out:
         Path(args.newick_out).write_text(result.dendrogram.to_newick() + "\n", encoding="utf-8")
     if args.trace_out:

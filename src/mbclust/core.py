@@ -22,7 +22,6 @@ labels; member tuples and merge records are derived from them on demand.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -32,7 +31,7 @@ import numpy as np
 
 from .dataset import Dataset, as_codes
 from .errors import MbcError
-from .importance import ImportanceReport, importance_report, pgp2_kept_counts
+from .importance import ImportanceReport, finite_alpha, importance_report, pgp2_kept_counts
 
 IMPORTANCE_PGP = "pgp"
 IMPORTANCE_PPP = "ppp"
@@ -68,8 +67,6 @@ class MbcConfig:
 
     def validated(self) -> "MbcConfig":
         """Normalized copy; raises ``ValueError`` on unusable settings."""
-        from numbers import Real
-
         measure = self.importance_measure.lower() if isinstance(self.importance_measure, str) else None
         policy = self.tie_policy.lower() if isinstance(self.tie_policy, str) else None
         if policy == "pgp2":
@@ -86,8 +83,7 @@ class MbcConfig:
                 raise ValueError(f"k must be an integer, got {self.k!r}") from None
             if k < 1:
                 raise ValueError("k must be at least 1")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be a finite real number, got {self.alpha!r}")
+        alpha = finite_alpha(self.alpha)
         if not isinstance(self.anti_merge, (bool, np.bool_)):
             raise ValueError(f"anti_merge must be a bool, got {self.anti_merge!r}")
         anti_merge = bool(self.anti_merge) and k is None
@@ -95,7 +91,7 @@ class MbcConfig:
             importance_measure=measure,
             tie_policy=policy,
             anti_merge=anti_merge,
-            alpha=float(self.alpha),
+            alpha=alpha,
             k=k,
         )
 
@@ -145,7 +141,7 @@ class ClusteringState:
             raise ValueError(f"labels outside 0..{e - 1}")
         if not self.sizes.all():
             raise ValueError("an entity has no member")
-        if any(not 0 <= idx < e for idx in self.frozen):
+        if self.frozen and (min(self.frozen) < 0 or max(self.frozen) >= e):
             raise ValueError(f"frozen entity indices {sorted(self.frozen)} outside 0..{e - 1}")
 
     @property

@@ -11,8 +11,8 @@ Three rankings are provided:
   the pairwise similarity structure survives when a candidate feature
   is removed, as a ratio of pairs whose match count exceeds a threshold.
   :func:`pgp2_kept_counts` scores many single-feature candidates in one
-  pass over the entity pairs, without a match-count matrix; the
-  clustering loop's tie-break and the ``importance`` command use it.
+  pass over cell-budgeted blocks of entity pairs, without a match-count
+  matrix; the clustering loop's tie-break and ``importance`` use it.
 
 All scores are :class:`fractions.Fraction` so that equality of
 importances is decidable exactly; ties drive the clustering loop's
@@ -31,9 +31,9 @@ import numpy as np
 from .dataset import as_codes
 from .errors import DegenerateDataError
 
-# Rows per block of the pgp2_kept_counts sweep; a block holds
-# features x rows x entities booleans.
-_SWEEP_ROWS = 64
+# Cells (pairs of rows) per block of the pgp2_kept_counts sweep; bounds
+# its two block buffers to this many entries, or one row of entities.
+_SWEEP_CELLS = 1 << 18
 
 
 def match_pair_counts(codes) -> np.ndarray:
@@ -124,6 +124,15 @@ def ppp(data) -> tuple[Fraction, ...]:
     return report.ppp
 
 
+def finite_alpha(alpha) -> float:
+    """``alpha`` as a float; ``ValueError`` unless a finite real number."""
+    from numbers import Real
+
+    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
+    return float(alpha)
+
+
 def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tuple[tuple[int, ...], int]:
     """Marked pairs kept when each candidate column alone is dropped.
 
@@ -133,14 +142,12 @@ def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tup
 
     With ``t`` the smallest marked count, dropping column ``c`` unmarks
     exactly the pairs that match on ``t`` columns, ``c`` among them. One
-    sweep over blocks of rows counts those pairs for every column at
-    once, so no match-count matrix is built and memory stays at one
-    block of features x rows x entities booleans. Dropping the only
-    column keeps no pair.
+    sweep over blocks of at most ``_SWEEP_CELLS`` row pairs (or one row)
+    adds each column's equality into two reused block buffers, and only
+    a block with a pair at exactly ``t`` computes a candidate's equality
+    again to count its losses. Dropping the only column keeps no pair.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+    alpha = finite_alpha(alpha)
     codes = as_codes(data)
     e, f = codes.shape
     if f == 0:
@@ -154,17 +161,30 @@ def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tup
     # comparisons run on a narrow dtype.
     distinct, inverse = np.unique(codes, return_inverse=True)
     columns = np.ascontiguousarray(inverse.reshape(e, f).T, dtype=np.min_scalar_type(len(distinct)))
-    count_dtype = np.min_scalar_type(f + 1)
-    marked = 0
-    lost = np.zeros(f, dtype=np.int64)
-    for a in range(0, e - 1, _SWEEP_ROWS):
-        b = min(a + _SWEEP_ROWS, e - 1)
-        # eq[c, r, q]: rows a + r and a + 1 + q agree on column c; a pair when q >= r.
-        eq = columns[:, a:b, None] == columns[:, None, a + 1:]
-        pair = np.arange(b - a)[:, None] <= np.arange(e - a - 1)
-        matches = eq.sum(axis=0, dtype=count_dtype)
-        marked += int(np.count_nonzero(pair & (matches >= t)))
-        lost += np.count_nonzero(eq[:, pair & (matches == t)], axis=1)
+    rows = max(1, _SWEEP_CELLS // max(e, 1))
+    count_buf = np.empty(min(rows, e) * e, dtype=np.min_scalar_type(f + 1))
+    eq_buf = np.empty(len(count_buf), dtype=bool)
+    marked, lost = 0, dict.fromkeys(set(drop) if 0 < t <= f else (), 0)
+    for a in range(0, e, rows):
+        # Rows a..b-1 against a..e-1. Of the symmetric left h x h corner, the
+        # diagonal (self-pairs, match on all f) and lower half are no pairs.
+        b = min(a + rows, e)
+        h = b - a
+        counts, eq = count_buf[:h * (e - a)].reshape(h, -1), eq_buf[:h * (e - a)].reshape(h, -1)
+
+        def pairs(mask, diagonal):
+            return int(np.count_nonzero(mask)) - (int(np.count_nonzero(mask[:, :h])) + h * diagonal) // 2
+
+        counts.fill(0)
+        for col in columns:
+            counts += np.equal(col[a:b, None], col[None, a:], out=eq).view(np.uint8)
+        marked += pairs(np.greater_equal(counts, t, out=eq), f >= t)
+        if lost and pairs(np.equal(counts, t, out=eq), f == t):
+            # eq marks the pairs at t; the spent counts take each candidate's equality.
+            cand = count_buf.view(bool)[:h * (e - a)].reshape(h, -1)
+            for c in lost:
+                np.equal(columns[c, a:b, None], columns[c, None, a:], out=cand)
+                lost[c] += pairs(np.logical_and(cand, eq, out=cand), f == t)
     if f == 1:
         return (0,) * len(drop), marked
-    return tuple(marked - int(lost[c]) for c in drop), marked
+    return tuple(marked - lost.get(c, 0) for c in drop), marked

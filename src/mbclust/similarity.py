@@ -4,8 +4,8 @@ Pairwise similarity is kept in two forms:
 
 * :class:`SimilarityMatrix` stores raw match counts (the number of
   features on which two entities agree) in a condensed upper triangle of
-  ``int64``. :func:`~mbclust.importance.pgp2` scores feature drops on
-  these counts; the clustering loop's tie-break gets the same scores
+  ``int64``. The paper's pgp2 scores feature drops on these counts (see
+  ``tests/pgp2_matrix.py``); the clustering loop's tie-break gets them
   from :func:`~mbclust.importance.pgp2_kept_counts` without the matrix.
 * :func:`overlap`, :func:`goodall` and :func:`lin` score a single pair of
   objects in ``[0, 1]``, weighting matches uniformly, by rarity, or by

@@ -170,6 +170,21 @@ def test_state_from_labels_equals_state_from_entities(dataset_a):
         ClusteringState(labels=np.array([0, 0]), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("frozen", [{-1}, {4}, {0, 4}, {np.int64(-2), 3}])
+def test_state_rejects_frozen_outside_entities(frozen):
+    message = f"frozen entity indices {sorted(frozen)} outside 0..3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClusteringState(labels=np.arange(4), profiles=np.zeros((4, 2), dtype=np.int64), remaining_features=(0, 1),
+                        frozen=frozen)
+
+
+@pytest.mark.parametrize("frozen", [set(), {0}, {3}, {0, 1, 2, 3}, {np.int64(2)}])
+def test_state_accepts_frozen_entities(frozen):
+    state = ClusteringState(labels=np.arange(4), profiles=np.zeros((4, 2), dtype=np.int64),
+                            remaining_features=(0, 1), frozen=frozen)
+    assert state.frozen == frozenset(frozen)
+
+
 def test_first_merge_round(dataset_a):
     grouped = group_matching(initial_state(dataset_a))
     assert len(grouped.entities) == 8

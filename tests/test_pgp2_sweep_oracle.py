@@ -3,10 +3,15 @@
 ``pgp2_kept_counts`` scores every candidate column in one pass over row
 blocks, without a match-count matrix. Each count must equal what
 ``pgp2_counts`` gives for that column alone over ``build_sm``, and the
-marked-pair count must equal the pairs of ``build_sm`` above ``alpha``.
+marked-pair count must equal the pairs of ``build_sm`` above ``alpha``,
+whatever the cell budget of a block.
 """
 
 import json
+import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +58,16 @@ def rows(*profiles):
     return np.array(profiles, dtype=np.int64)
 
 
+BUDGETS = ("1", "7", "e-1", "e", "default")
+
+
+def at_budget(name, e):
+    """Patch the cells per sweep block: from one row per block up to all
+    e rows in one."""
+    cells = {"1": 1, "7": 7, "e-1": e - 1, "e": e, "default": mbclust.importance._SWEEP_CELLS}[name]
+    return mock.patch.object(mbclust.importance, "_SWEEP_CELLS", max(cells, 1))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(case=sweep_cases())
 @example(case=(np.zeros((0, 3), dtype=np.int64), (2, 0), 0.0))  # e = 0
@@ -63,9 +78,11 @@ def rows(*profiles):
 @example(case=(rows([0], [0], [1]), (0,), -1.0))  # the only column: no pair kept
 def test_sweep_equals_pgp2_counts(case):
     codes, candidates, alpha = case
-    kept, marked = pgp2_kept_counts(codes, candidates, alpha)
-    assert (kept, marked) == oracle(codes, candidates, alpha)
-    assert all(type(k) is int for k in kept) and type(marked) is int
+    for name in BUDGETS:
+        with at_budget(name, len(codes)):
+            kept, marked = pgp2_kept_counts(codes, candidates, alpha)
+        assert (kept, marked) == oracle(codes, candidates, alpha)
+        assert all(type(k) is int for k in kept) and type(marked) is int
 
 
 @pytest.mark.parametrize("e", [63, 64, 65, 66, 129, 200])
@@ -77,7 +94,55 @@ def test_sweep_across_row_blocks(e, alpha):
     codes = rng.integers(0, 3, size=(e, f))
     codes[::2] = rng.integers(0, 3, size=(3, f))[rng.integers(0, 3, size=len(codes[::2]))]
     candidates = tuple(rng.permutation(f).tolist())
-    assert pgp2_kept_counts(codes, candidates, alpha) == oracle(codes, candidates, alpha)
+    for cells in BUDGETS:
+        with at_budget(cells, e):
+            assert pgp2_kept_counts(codes, candidates, alpha) == oracle(codes, candidates, alpha)
+
+
+@pytest.mark.parametrize("cells", BUDGETS)
+@pytest.mark.parametrize("f", [255, 256, 270])
+def test_sweep_with_wide_count_dtype(f, cells):
+    """From f = 255 on, the counts are compared with t up to f + 1 in uint16."""
+    assert np.min_scalar_type(f + 1) == np.uint16
+    rng = np.random.default_rng(f)
+    protos = rng.integers(0, 2, size=(4, f))
+    codes = protos[rng.integers(0, 4, size=40)]
+    codes[rng.integers(0, 40, size=60), rng.integers(0, f, size=60)] ^= 1
+    candidates = (f - 1, 0, f // 2)
+    matches = build_sm(codes).values
+    for alpha in (-1.0, float(np.median(matches)), f - 3.0, f - 1.0, float(f)):
+        with at_budget(cells, len(codes)):
+            kept = pgp2_kept_counts(codes, candidates, alpha)
+        assert kept == oracle(codes, candidates, alpha)
+
+
+@pytest.mark.parametrize("cells", BUDGETS)
+def test_sweep_over_repeated_profiles(cells):
+    """Entities that share a profile, as frozen clusters do in the loop:
+    their pairs match on all f columns, so at t = f every column loses
+    them."""
+    rng = np.random.default_rng(7)
+    f = 5
+    codes = rng.integers(0, 3, size=(6, f))[rng.integers(0, 6, size=90)]
+    candidates = (4, 0, 2, 0)
+    for alpha in (-1.0, 0.0, 2.5, f - 1.0, f - 0.5, float(f)):
+        with at_budget(cells, len(codes)):
+            kept = pgp2_kept_counts(codes, candidates, alpha)
+        assert kept == oracle(codes, candidates, alpha)
+    twins = np.repeat(codes[:1], 50, axis=0)
+    with at_budget(cells, len(twins)):
+        assert pgp2_kept_counts(twins, candidates, f - 1.0) == ((0, 0, 0, 0), math.comb(50, 2))
+
+
+@pytest.mark.parametrize("cells", BUDGETS)
+def test_thresholds_outside_match_counts_across_blocks(cells):
+    e, f = 70, 4
+    codes = np.random.default_rng(e).integers(0, 2, size=(e, f))
+    with at_budget(cells, e):
+        for alpha in (-1.0, -0.5, -7.25):  # t <= 0: every pair stays marked
+            assert pgp2_kept_counts(codes, (3, 1, 0), alpha) == ((math.comb(e, 2),) * 3, math.comb(e, 2))
+        for alpha in (float(f), f + 2.5, 1e300):  # t > f: nothing is marked
+            assert pgp2_kept_counts(codes, (3, 1, 0), alpha) == ((0, 0, 0), 0)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -0.5, -7.25])
@@ -97,6 +162,37 @@ def test_nothing_marked_above_theta():
 def test_non_finite_alpha_rejected(alpha):
     with pytest.raises(ValueError, match="alpha"):
         pgp2_kept_counts(rows([0, 1], [0, 1]), (0,), alpha)
+
+
+@pytest.mark.parametrize("alpha", ["2.5", True, False, np.True_, None, 1j, np.float64("nan")])
+def test_non_real_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match=f"alpha .*{re.escape(repr(alpha))}"):
+        pgp2_kept_counts(rows([0, 1], [0, 1]), (0,), alpha)
+    with pytest.raises(ValueError, match=f"alpha .*{re.escape(repr(alpha))}"):
+        MbcConfig(alpha=alpha).validated()
+
+
+@pytest.mark.parametrize("alpha", [2, 2.5, np.float64(2.5), np.int64(2)])
+def test_real_alpha_accepted(alpha):
+    codes = rows([0, 1, 2], [0, 1, 3], [0, 5, 3], [4, 1, 3])
+    assert pgp2_kept_counts(codes, (0, 1, 2), alpha) == pgp2_kept_counts(codes, (0, 1, 2), float(alpha))
+
+
+def test_sweep_memory_does_not_grow_with_rows_per_block():
+    """A block of f x 64 x e booleans, 12.8 MB here, exceeds the bound.
+    Renumbering the codes takes about 8 MB and the block buffers
+    2 x _SWEEP_CELLS bytes."""
+    e, f = 10000, 20
+    codes = np.random.default_rng(e).integers(0, 3, size=(e, f))
+    tracemalloc.start()
+    try:
+        pgp2_kept_counts(codes[:200], range(f), 9.0)  # leaves one-time allocations out of the peak
+        tracemalloc.reset_peak()
+        pgp2_kept_counts(codes, range(f), 9.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000 < f * 64 * e
 
 
 def test_argument_errors():

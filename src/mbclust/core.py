@@ -78,6 +78,8 @@ class MbcConfig:
         k = self.k
         if k is not None:
             try:
+                if isinstance(k, bool):
+                    raise TypeError
                 k = operator.index(k)
             except TypeError:
                 raise ValueError(f"k must be an integer, got {self.k!r}") from None
@@ -300,9 +302,12 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
     pairs, scored over the current entity profiles; any leftover tie
     falls to the lowest feature index. All candidates share the count
     of marked pairs before the drop, so the largest share is the
-    largest count of marked pairs kept, and one
+    largest count of marked pairs kept. That count sees a column only
+    through the entity pairs it matches, so columns that split the
+    entities alike tie and the first of them stands for all. A tie of
+    one split needs no scoring; several splits are scored in one
     :func:`~mbclust.importance.pgp2_kept_counts` sweep over the entity
-    pairs scores every tied candidate without a match-count matrix.
+    pairs, without a match-count matrix.
     """
     if config.importance_measure == IMPORTANCE_PPP:
         numerators = report.mismatch_pairs
@@ -318,8 +323,15 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
     if config.tie_policy == TIES_DROP_ALL or len(tied) == 1:
         chosen = tied
     else:
-        kept, _ = pgp2_kept_counts(state.profiles, tied, config.alpha)
-        chosen = [tied[kept.index(max(kept))]]
+        # The first tied column of each split; a split's key gives every
+        # entity the first entity that shares its code.
+        splits = {}
+        for pos in tied:
+            _, first, inverse = np.unique(state.profiles[:, pos], return_index=True, return_inverse=True)
+            splits.setdefault(first[inverse].tobytes(), pos)
+        heads = list(splits.values())
+        kept = pgp2_kept_counts(state.profiles, heads, config.alpha)[0] if len(heads) > 1 else [0]
+        chosen = [heads[kept.index(max(kept))]]
     if len(chosen) >= state.theta:
         return ()
     return tuple(state.remaining_features[pos] for pos in chosen)

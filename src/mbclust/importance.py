@@ -157,10 +157,12 @@ def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tup
         raise IndexError(f"candidate column out of range 0..{f - 1}")
     # Every pair is marked below this range and none above it.
     t = min(max(math.floor(alpha) + 1, 0), f + 1)
-    # Renumbering the codes densely keeps equal codes equal and lets the
-    # comparisons run on a narrow dtype.
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    columns = np.ascontiguousarray(inverse.reshape(e, f).T, dtype=np.min_scalar_type(len(distinct)))
+    # Renumbering each column densely keeps equal codes equal and lets its
+    # comparisons run on a narrow dtype, one column in flight at a time.
+    columns = []
+    for col in codes.T:
+        distinct, inverse = np.unique(col, return_inverse=True)
+        columns.append(inverse.astype(np.min_scalar_type(len(distinct))))
     rows = max(1, _SWEEP_CELLS // max(e, 1))
     count_buf = np.empty(min(rows, e) * e, dtype=np.min_scalar_type(f + 1))
     eq_buf = np.empty(len(count_buf), dtype=bool)
@@ -183,7 +185,7 @@ def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tup
             # eq marks the pairs at t; the spent counts take each candidate's equality.
             cand = count_buf.view(bool)[:h * (e - a)].reshape(h, -1)
             for c in lost:
-                np.equal(columns[c, a:b, None], columns[c, None, a:], out=cand)
+                np.equal(columns[c][a:b, None], columns[c][None, a:], out=cand)
                 lost[c] += pairs(np.logical_and(cand, eq, out=cand), f == t)
     if f == 1:
         return (0,) * len(drop), marked

@@ -70,6 +70,15 @@ def test_config_validation_errors():
     assert MbcConfig(k=np.int64(2)).validated().k == 2
 
 
+@pytest.mark.parametrize("k", [True, False, np.True_, np.False_])
+def test_config_rejects_bool_k(k):
+    """``operator.index(True)`` is 1, which would also turn the containment rule off."""
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+        MbcConfig(k=k).validated()
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+        run([[0, 1], [0, 2], [1, 2]], MbcConfig(k=k))
+
+
 @pytest.mark.parametrize("field", ["importance_measure", "tie_policy"])
 @pytest.mark.parametrize("value", [None, 3, b"pgp"])
 def test_config_rejects_non_str_names(field, value):

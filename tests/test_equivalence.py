@@ -40,6 +40,25 @@ def code_matrices(draw):
     return np.array(rows, dtype=np.int64)
 
 
+@st.composite
+def twin_column_matrices(draw):
+    """Code matrices with added columns: twins, which repeat a column's
+    split under a bijective relabelling of its codes, and row shuffles,
+    which keep its pair count but usually split the rows otherwise."""
+    codes = draw(code_matrices())
+    columns = list(codes.T)
+    for _ in range(draw(st.integers(1, 4))):
+        column = columns[draw(st.integers(0, len(columns) - 1))]
+        if draw(st.booleans()):
+            distinct, inverse = np.unique(column, return_inverse=True)
+            relabel = np.array(draw(st.permutations(range(len(distinct)))), dtype=np.int64)
+            column = relabel[inverse] * draw(st.sampled_from([1, 7, -3])) + draw(st.sampled_from([0, 5, 10**6]))
+        else:
+            column = column[np.array(draw(st.permutations(range(len(column)))), dtype=np.intp)]
+        columns.insert(draw(st.integers(0, len(columns))), column)
+    return np.stack(columns, axis=1)
+
+
 def _observed(result):
     return (
         result.partition,
@@ -62,6 +81,22 @@ GRID = [pytest.param(*cell, id="-".join(map(str, cell)) + "-entities")
 @given(codes=code_matrices(), k=st.sampled_from([None, 1, 2, 3, 5]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
 def test_run_equals_matrix_loop(measure, ties, anti_merge, codes, k, alpha):
     config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge, k=k, alpha=alpha)
+    assert_run_equals_matrix_loop(codes, config)
+
+
+@pytest.mark.parametrize("measure", ["pgp", "ppp"])
+@pytest.mark.parametrize("anti_merge", [True, False])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(codes=twin_column_matrices(), k=st.sampled_from([None, 2, 3]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
+def test_run_with_twin_columns_equals_matrix_loop(measure, anti_merge, codes, k, alpha):
+    """pgp2 ties among columns that split the entities alike, decided
+    without a sweep, and mixed with columns that split them otherwise."""
+    config = MbcConfig(importance_measure=measure, tie_policy="pgp2", anti_merge=anti_merge, k=k, alpha=alpha)
+    assert_run_equals_matrix_loop(codes, config)
+
+
+def assert_run_equals_matrix_loop(codes, config):
     result, expected = run(codes, config), matrix_loop.run(codes, config)
     assert _observed(result) == _observed(expected)
     assert list(result.assignments) == list(expected.assignments)

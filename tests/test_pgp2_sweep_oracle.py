@@ -35,7 +35,7 @@ from mbclust import (
 from mbclust.cli import main
 from conftest import DATA_DIR
 from pgp2_matrix import pgp2_counts
-from test_equivalence import code_matrices
+from test_equivalence import code_matrices, twin_column_matrices
 
 
 def oracle(codes, candidates, alpha):
@@ -180,8 +180,7 @@ def test_real_alpha_accepted(alpha):
 
 def test_sweep_memory_does_not_grow_with_rows_per_block():
     """A block of f x 64 x e booleans, 12.8 MB here, exceeds the bound.
-    Renumbering the codes takes about 8 MB and the block buffers
-    2 x _SWEEP_CELLS bytes."""
+    The block buffers take 2 x _SWEEP_CELLS bytes."""
     e, f = 10000, 20
     codes = np.random.default_rng(e).integers(0, 3, size=(e, f))
     tracemalloc.start()
@@ -193,6 +192,34 @@ def test_sweep_memory_does_not_grow_with_rows_per_block():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000 < f * 64 * e
+
+
+def test_sweep_memory_is_bounded_by_one_column():
+    """Renumbering the codes column by column holds about 5 x e x 8 bytes
+    at once; renumbering the whole matrix took 5 x e x f x 8, 8 MB here."""
+    e, f = 10000, 20
+    codes = np.random.default_rng(e).integers(0, 3, size=(e, f))
+    tracemalloc.start()
+    try:
+        pgp2_kept_counts(codes[:200], range(f), 9.0)  # leaves one-time allocations out of the peak
+        tracemalloc.reset_peak()
+        pgp2_kept_counts(codes, range(f), 9.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("cells", BUDGETS)
+def test_sweep_over_more_codes_than_a_byte_holds(cells):
+    """Columns of 300 and 600 distinct codes are compared in uint16; in
+    uint8, codes 256 apart would match."""
+    e = 600
+    codes = np.stack([np.arange(e) % 300, np.arange(e) * 1000, np.random.default_rng(e).integers(0, 3, e)], axis=1)
+    for alpha in (-1.0, 0.0, 1.0):
+        with at_budget(cells, e):
+            kept = pgp2_kept_counts(codes, (1, 0, 2), alpha)
+        assert kept == oracle(codes, (1, 0, 2), alpha)
 
 
 def test_argument_errors():
@@ -242,6 +269,17 @@ def test_first_maximum_wins():
     assert select_drop(state, report, MbcConfig(tie_policy="pgp2").validated()) == (1,)
 
 
+def record_sweeps(monkeypatch):
+    sweeps, sweep = [], mbclust.core.pgp2_kept_counts
+
+    def recorded(profiles, candidates, alpha):
+        sweeps.append(list(candidates))
+        return sweep(profiles, candidates, alpha)
+
+    monkeypatch.setattr(mbclust.core, "pgp2_kept_counts", recorded)
+    return sweeps
+
+
 def test_tie_break_and_cli_build_no_match_matrix(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("match-count matrix built")
@@ -250,16 +288,67 @@ def test_tie_break_and_cli_build_no_match_matrix(monkeypatch, capsys):
         for name in ("build_sm", "update_sm_after_drop", "pgp2_counts"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    sweeps = []
-    sweep = mbclust.core.pgp2_kept_counts
-
-    def counted(*args, **kwargs):
-        sweeps.append(args[1])
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(mbclust.core, "pgp2_kept_counts", counted)
+    sweeps = record_sweeps(monkeypatch)
     result = run(mbclust.load_csv(DATA_DIR / "dataset_a.csv"), MbcConfig(tie_policy="pgp2", k=2))
-    assert sweeps == [[2, 3]]
+    assert sweeps == []  # the tied columns C and D split the entities alike
     assert result.partition == ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9))
     assert main(["importance", str(DATA_DIR / "dataset_a.csv"), "--measure", "pgp2"]) == 0
     assert capsys.readouterr().out.splitlines()[0].split() == ["feature", "numerator", "denominator", "value"]
+
+
+@st.composite
+def tied_states(draw):
+    """States whose columns tie often, over twin and row-shuffled columns.
+    Half of the code matrices repeat profiles, and entities are frozen,
+    as frozen clusters share a profile in the loop."""
+    profiles = draw(twin_column_matrices())
+    e, f = profiles.shape
+    frozen = draw(st.sets(st.integers(0, e - 1)))
+    remaining = tuple(sorted(draw(st.sets(st.integers(0, 40), min_size=f, max_size=f))))
+    return ClusteringState(labels=np.arange(e), profiles=profiles, remaining_features=remaining, frozen=frozen)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(state=tied_states(), measure=st.sampled_from(["pgp", "ppp"]), alpha=st.sampled_from([-1.0, 0.0, 1.0, 2.5]))
+def test_tie_break_equals_sweep_over_every_tied_column(state, measure, alpha):
+    report = importance_report(state.profiles)
+    numerators = report.mismatch_pairs if measure == "ppp" else report.match_pairs
+    tied = [pos for pos, v in enumerate(numerators) if v == min(numerators)]
+    expected = ()
+    if min(numerators) != max(numerators):
+        kept, _ = pgp2_kept_counts(state.profiles, tied, alpha)
+        expected = (state.remaining_features[tied[kept.index(max(kept))]],)
+    config = MbcConfig(importance_measure=measure, tie_policy="pgp2", alpha=alpha).validated()
+    assert select_drop(state, report, config) == expected
+
+
+def test_tie_among_columns_that_split_alike_runs_no_sweep(monkeypatch):
+    # Columns 1 to 3 tie and split the entities as {0, 1}, {2}, {3} under
+    # three codings; column 0 matches more pairs.
+    state = _state([[0, 4, 7, 2], [0, 4, 7, 2], [0, 3, 9, 0], [1, 5, 8, -1]], (3, 5, 8, 9))
+    report = importance_report(state.profiles)
+    assert report.match_pairs == (6, 2, 2, 2)
+
+    def refuse(*args):
+        raise AssertionError("pgp2 sweep run")
+
+    monkeypatch.setattr(mbclust.core, "pgp2_kept_counts", refuse)
+    for alpha in (-1.0, 0.0, 1.0, 3.0):
+        assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=alpha).validated()) == (5,)
+
+
+def test_mixed_tie_sweeps_one_column_per_split(monkeypatch):
+    # Columns 1 and 3 split alike, so do 2 and 5; column 4 splits its own
+    # way. All five match one pair; column 0 matches more.
+    state = _state([[0, 0, 1, 5, 0, 9], [0, 0, 2, 5, 1, 8], [0, 1, 2, 6, 2, 8], [1, 2, 3, 7, 3, 7],
+                    [1, 3, 4, 8, 3, 6], [1, 4, 5, 9, 4, 5]], tuple(range(6)))
+    report = importance_report(state.profiles)
+    assert report.match_pairs == (12, 2, 2, 2, 2, 2)
+    sweeps = record_sweeps(monkeypatch)
+    # At alpha 2 only the pairs of the twins are marked, each on exactly
+    # three columns, so dropping a twin unmarks its pair and dropping
+    # column 4 unmarks none. At alpha 1 the pair of column 4 is marked on
+    # exactly two columns and goes with it, so the first tied column wins.
+    assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=2.0).validated()) == (4,)
+    assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=1.0).validated()) == (1,)
+    assert sweeps == [[1, 2, 4], [1, 2, 4]]

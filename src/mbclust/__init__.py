@@ -41,7 +41,6 @@ from .importance import (
 from .similarity import (
     SimilarityMatrix,
     build_sm,
-    condensed_index,
     count_matches,
     goodall,
     lin,
@@ -74,7 +73,6 @@ __all__ = [
     "TIES_PGP2",
     "anti_merge_update",
     "build_sm",
-    "condensed_index",
     "contingency",
     "count_matches",
     "cut_at_k",

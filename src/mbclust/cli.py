@@ -20,7 +20,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .core import (
 from .dataset import MISSING_CATEGORY, MISSING_REJECT, load_csv
 from .errors import MbcError
 from .evaluation import contingency, misclassified, purity
-from .importance import importance_report, pgp2_kept_counts
+from .importance import finite_alpha, importance_report, pgp2_kept_counts
 from .similarity import pairwise_matrix
 
 
@@ -69,27 +68,37 @@ def _load_dataset(args):
     return load_csv(args.csv, label_column=args.label_column, missing_policy=args.missing)
 
 
-def _config(args, anti_merge: bool | None = None, k: int | None = None) -> MbcConfig:
-    if anti_merge is None:
-        anti_merge = not getattr(args, "no_anti_merge", False)
-    if k is None:
-        k = getattr(args, "k", None)
+def _config(args) -> MbcConfig:
     return MbcConfig(
         importance_measure=args.importance,
         tie_policy=args.ties,
-        anti_merge=anti_merge,
+        anti_merge=not args.no_anti_merge,
         alpha=args.alpha,
-        k=k,
+        k=args.k,
     ).validated()
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+def _write(path: str | None, *pieces) -> None:
+    """Write text to the file at ``path``, or to stdout when it is None.
+
+    A piece is a string or an iterable of strings, written as it is
+    consumed. Callers compute whatever can fail first, so a failing
+    command writes nothing.
+    """
+    with open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext(sys.stdout) as sink:
+        for piece in pieces:
+            sink.writelines([piece] if isinstance(piece, str) else piece)
+
+
+def _table(rows: list[list[str]], right: bool) -> str:
+    """Aligned text table, one line per row; columns after the first are
+    right-justified when ``right`` is set."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join(cell.rjust(w) if right and c else cell.ljust(w) for c, (cell, w) in enumerate(zip(row, widths)))
+        .rstrip() + "\n"
+        for row in rows
+    )
 
 
 def _config_echo(config: MbcConfig) -> dict:
@@ -121,20 +130,17 @@ def _cmd_cluster(args) -> int:
     seconds = time.perf_counter() - started
 
     if args.format == "json":
-        _emit(_cluster_json(result.labels, result.stop_reason, len(result.trace)), args.out)
+        _write(args.out, _cluster_json(result.labels, result.stop_reason, len(result.trace)), "\n")
     else:
         rows = enumerate(result.assignments.tolist())
-        _emit("object,cluster\n" + "".join(f"{obj},{cid}\n" for obj, cid in rows), args.out)
+        _write(args.out, "object,cluster\n", "".join(f"{obj},{cid}\n" for obj, cid in rows))
 
     if args.dendrogram_out:
-        with open(args.dendrogram_out, "w", encoding="utf-8") as fh:
-            fh.write(result.dendrogram.to_json())
-            fh.write("\n")
+        _write(args.dendrogram_out, result.dendrogram.to_json(), "\n")
     if args.newick_out:
-        Path(args.newick_out).write_text(result.dendrogram.to_newick() + "\n", encoding="utf-8")
+        _write(args.newick_out, result.dendrogram.to_newick(), "\n")
     if args.trace_out:
-        Path(args.trace_out).write_text(
-            json.dumps([rec.to_dict() for rec in result.trace], indent=2) + "\n", encoding="utf-8")
+        _write(args.trace_out, json.dumps([rec.to_dict() for rec in result.trace], indent=2), "\n")
 
     manifest = {
         "input": args.csv,
@@ -149,18 +155,14 @@ def _cmd_cluster(args) -> int:
     }
     print(json.dumps(manifest, separators=(",", ":")), file=sys.stderr)
     if args.manifest_out:
-        Path(args.manifest_out).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        _write(args.manifest_out, json.dumps(manifest, indent=2), "\n")
     return 0
 
 
 def _cmd_dendrogram(args) -> int:
     data = _load_dataset(args)
-    config = _config(args, anti_merge=False, k=None)
-    result = run(data, config)
-    if args.format == "newick":
-        _emit(result.dendrogram.to_newick(), args.out)
-    else:
-        _emit(result.dendrogram.to_json(), args.out)
+    dendrogram = run(data, _config(args)).dendrogram
+    _write(args.out, dendrogram.to_newick() if args.format == "newick" else dendrogram.to_json(), "\n")
     return 0
 
 
@@ -179,7 +181,7 @@ def _rank_rows(names, numerators, denominators, values):
 
 
 def _cmd_importance(args) -> int:
-    alpha = MbcConfig(alpha=args.alpha).validated().alpha
+    alpha = finite_alpha(args.alpha)
     data = _load_dataset(args)
     report = importance_report(data)
     names = report.feature_names
@@ -200,15 +202,12 @@ def _cmd_importance(args) -> int:
         rows = _rank_rows(names, report.match_pairs, [total] * data.m, report.pgp)
 
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2), args.out)
+        _write(args.out, json.dumps(rows, indent=2), "\n")
         return 0
-    header = ["feature", "numerator", "denominator", "value"]
-    cells = [header] + [
+    cells = [["feature", "numerator", "denominator", "value"]] + [
         [r["feature"], str(r["numerator"]), str(r["denominator"]), f"{r['value']:.6f}"] for r in rows
     ]
-    widths = [max(len(row[c]) for row in cells) for c in range(4)]
-    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in cells]
-    _emit("\n".join(lines), args.out)
+    _write(args.out, _table(cells, right=False))
     return 0
 
 
@@ -250,22 +249,17 @@ def _cmd_similarity(args) -> int:
             for cells in text[np.searchsorted(distinct, local)][inverse.reshape(-1, n)]:
                 yield sep.join(cells.tolist())
 
-    with (open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)) as sink:
-        if args.format == "json":
-            sink.write(f'{{"measure": "{args.measure}", "n": {n}, "matrix": [')
-            for i, row in enumerate(rows()):
-                sink.write(f"{', ' if i else ''}[{row}]")
-            sink.write("]}\n")
-        else:
-            sink.write("".join(f",{j}" for j in range(n)) + "\n")
-            for i, row in enumerate(rows()):
-                sink.write(f"{i},{row}\n")
+    if args.format == "json":
+        _write(args.out, f'{{"measure": "{args.measure}", "n": {n}, "matrix": [',
+               (f"{', ' if i else ''}[{row}]" for i, row in enumerate(rows())), "]}\n")
+    else:
+        _write(args.out, "".join(f",{j}" for j in range(n)), "\n", (f"{i},{row}\n" for i, row in enumerate(rows())))
     return 0
 
 
 def _read_assignments(path: str) -> tuple[tuple[int, ...], ...]:
     clusters: dict[int, list[int]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csvmod.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["object", "cluster"]:
@@ -287,24 +281,15 @@ def _cmd_eval(args) -> int:
         partition = run(data, _config(args)).partition
     table = contingency(partition, data.labels)
 
-    header = ["label"] + [str(c) for c in table.cluster_ids]
-    body = [
-        [table.label_names[r]] + [str(int(v)) for v in table.counts[r]]
-        for r in range(len(table.label_names))
+    cells = [["label"] + [str(c) for c in table.cluster_ids]] + [
+        [name] + [str(int(v)) for v in counts] for name, counts in zip(table.label_names, table.counts)
     ]
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csvmod.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(body)
+        csvmod.writer(buf, lineterminator="\n").writerows(cells)
         table_text = buf.getvalue()
     else:
-        cells = [header] + body
-        widths = [max(len(row[c]) for row in cells) for c in range(len(header))]
-        table_text = "\n".join(
-            "  ".join(cell.rjust(widths[c]) if c else cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-            for row in cells
-        ) + "\n"
+        table_text = _table(cells, right=True)
     summary = {
         "purity": purity(table),
         "misclassified": misclassified(table),
@@ -312,7 +297,7 @@ def _cmd_eval(args) -> int:
         "clusters": len(table.cluster_ids),
         "labels": len(table.label_names),
     }
-    _emit(table_text + json.dumps(summary), args.out)
+    _write(args.out, table_text, json.dumps(summary), "\n")
     return 0
 
 
@@ -337,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p, with_k=False)
     p.add_argument("--format", choices=["json", "newick"], default="json")
     p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(func=_cmd_dendrogram)
+    p.set_defaults(func=_cmd_dendrogram, no_anti_merge=True, k=None)
 
     p = sub.add_parser("importance", help="rank features by importance")
     _add_dataset_args(p)

@@ -43,6 +43,19 @@ STOP_ALL_CLUSTERED = "all objects clustered"
 STOP_TIED_IMPORTANCE = "remaining features equally important"
 
 
+def cluster_count(k) -> int:
+    """``k`` as an int; ``ValueError`` unless an integer of at least 1."""
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        index = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if index < 1:
+        raise ValueError("k must be at least 1")
+    return index
+
+
 @dataclass(frozen=True)
 class MbcConfig:
     """Knobs of the clustering loop.
@@ -75,16 +88,7 @@ class MbcConfig:
             raise ValueError(f"unknown importance measure {self.importance_measure!r}")
         if policy not in (TIES_DROP_ALL, TIES_PGP2):
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
-        k = self.k
-        if k is not None:
-            try:
-                if isinstance(k, bool):
-                    raise TypeError
-                k = operator.index(k)
-            except TypeError:
-                raise ValueError(f"k must be an integer, got {self.k!r}") from None
-            if k < 1:
-                raise ValueError("k must be at least 1")
+        k = None if self.k is None else cluster_count(self.k)
         alpha = finite_alpha(self.alpha)
         if not isinstance(self.anti_merge, (bool, np.bool_)):
             raise ValueError(f"anti_merge must be a bool, got {self.anti_merge!r}")
@@ -506,8 +510,7 @@ class Dendrogram:
 
 def _cut_level(dendrogram: Dendrogram, k: int) -> int:
     """Index of the level that :func:`cut_at_k` returns."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = cluster_count(k)
     if not len(dendrogram.labels):
         raise ValueError("dendrogram has no levels")
     if dendrogram.anti_merge_used:
@@ -519,8 +522,9 @@ def _cut_level(dendrogram: Dendrogram, k: int) -> int:
 def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
     """Partition whose cluster count is closest to ``k``.
 
-    A tie in closeness goes to the coarser level. The level is chosen by
-    its size, and only its member tuples are built. Refuses dendrograms
+    ``k`` follows the rule of ``MbcConfig.k``. A tie in closeness goes
+    to the coarser level. The level is chosen by its size, and only its
+    member tuples are built. Refuses dendrograms
     censored by the containment rule, because their levels misstate the
     merge history.
     """

@@ -123,24 +123,6 @@ class Dataset:
 
     # -- lookups --------------------------------------------------------
 
-    def feature_index(self, name: str) -> int:
-        try:
-            return self.feature_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown feature {name!r}") from None
-
-    def categories(self, feature: int) -> tuple[str, ...]:
-        """Category strings of a feature, indexed by code."""
-        return self.category_labels[self._check_feature(feature)]
-
-    def code_of(self, feature: int, label: str) -> int:
-        """Code of a category string within a feature."""
-        cats = self.categories(feature)
-        try:
-            return cats.index(label)
-        except ValueError:
-            raise KeyError(f"feature {self.feature_names[feature]!r} has no category {label!r}") from None
-
     def frequency(self, feature: int, category: int) -> int:
         """Occurrence count f(c) of one category of one feature."""
         counts = self._frequencies[self._check_feature(feature)]
@@ -152,16 +134,9 @@ class Dataset:
         """All category counts of one feature (read-only, indexed by code)."""
         return self._frequencies[self._check_feature(feature)]
 
-    def column(self, feature: int) -> np.ndarray:
-        return self.cells[:, self._check_feature(feature)]
-
     def row(self, i: int) -> tuple[int, ...]:
         """Code tuple of one object."""
         return tuple(int(c) for c in self.cells[i])
-
-    def decode_row(self, i: int) -> tuple[str, ...]:
-        """Original category strings of one object."""
-        return tuple(self.category_labels[f][c] for f, c in enumerate(self.cells[i]))
 
     def _check_feature(self, feature: int) -> int:
         if not 0 <= feature < self.m:
@@ -183,21 +158,18 @@ def load_csv(path, label_column: str | None = None, missing_policy: str = MISSIN
     Parameters
     ----------
     path : str or Path
-        CSV file, UTF-8.
+        CSV file, UTF-8; a leading byte-order mark is skipped.
     label_column : str, optional
         Column excluded from the features and stored as per-object labels.
     missing_policy : str
         ``"reject"`` raises on a missing cell (empty or ``?``);
-        ``"category"`` keeps one extra ``?`` category per feature
-        (``"distinct-category"`` is accepted as an alias).
+        ``"category"`` keeps one extra ``?`` category per feature.
     """
-    if missing_policy == "distinct-category":
-        missing_policy = MISSING_CATEGORY
     if missing_policy not in (MISSING_REJECT, MISSING_CATEGORY):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
     path = Path(path)
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

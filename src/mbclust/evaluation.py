@@ -27,19 +27,6 @@ class ContingencyTable:
         """Total number of objects."""
         return int(self.counts.sum())
 
-    @property
-    def row_sums(self) -> np.ndarray:
-        """Objects per class."""
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_sums(self) -> np.ndarray:
-        """Objects per cluster."""
-        return self.counts.sum(axis=0)
-
-    def count(self, label: str, cluster_id: int) -> int:
-        return int(self.counts[self.label_names.index(label), self.cluster_ids.index(cluster_id)])
-
 
 def contingency(partition: Sequence[Sequence[int]], labels: Sequence[str]) -> ContingencyTable:
     """Cross-tabulate a partition against per-object labels.

@@ -4,9 +4,11 @@ Pairwise similarity is kept in two forms:
 
 * :class:`SimilarityMatrix` stores raw match counts (the number of
   features on which two entities agree) in a condensed upper triangle of
-  ``int64``. The paper's pgp2 scores feature drops on these counts (see
-  ``tests/pgp2_matrix.py``); the clustering loop's tie-break gets them
-  from :func:`~mbclust.importance.pgp2_kept_counts` without the matrix.
+  ``int64``, pairs in ``np.triu_indices`` order. The paper's pgp2 scores
+  feature drops on these counts (see ``tests/pgp2_matrix.py``); the
+  clustering loop's tie-break gets them from
+  :func:`~mbclust.importance.pgp2_kept_counts` without the matrix, and
+  the tests check it against this matrix.
 * :func:`overlap`, :func:`goodall` and :func:`lin` score a single pair of
   objects in ``[0, 1]``, weighting matches uniformly, by rarity, or by
   information content respectively.
@@ -100,22 +102,14 @@ def lin(x: Sequence[int], y: Sequence[int], data, features: Iterable[int] | None
     return num / den
 
 
-def condensed_index(size: int, i, j):
-    """Position of pair ``(i, j)``, ``i < j``, in a condensed upper triangle.
-
-    Rows are laid out in order ``(0,1), (0,2), .., (0,size-1), (1,2), ..``.
-    Accepts scalars or equally shaped arrays.
-    """
-    return i * (2 * size - i - 3) // 2 + j - 1
-
-
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
     """Condensed integer match-count matrix over ``size`` entities.
 
-    ``values[condensed_index(size, i, j)]`` is the number of features on
-    which entities ``i`` and ``j`` agree; ``theta`` is the number of
-    features counted (the ceiling of every entry).
+    ``values`` holds the number of features on which entities ``i < j``
+    agree, pairs in the order ``(0,1), (0,2), .., (0,size-1), (1,2), ..``
+    of ``np.triu_indices(size, 1)``; ``theta`` is the number of features
+    counted (the ceiling of every entry).
     """
 
     size: int
@@ -126,24 +120,6 @@ class SimilarityMatrix:
         expected = self.size * (self.size - 1) // 2
         if self.values.shape != (expected,):
             raise ValueError(f"expected {expected} condensed values for size {self.size}, got {self.values.shape}")
-
-    def value_at(self, i: int, j: int) -> int:
-        """Match count of one pair; order of ``i`` and ``j`` is irrelevant."""
-        if i == j:
-            raise ValueError("no stored similarity of an entity with itself")
-        if i > j:
-            i, j = j, i
-        if i < 0 or j >= self.size:
-            raise IndexError(f"pair ({i}, {j}) out of range for size {self.size}")
-        return int(self.values[condensed_index(self.size, i, j)])
-
-    def to_square(self) -> np.ndarray:
-        """Full symmetric matrix with zeros on the diagonal."""
-        square = np.zeros((self.size, self.size), dtype=np.int64)
-        ii, jj = np.triu_indices(self.size, k=1)
-        square[ii, jj] = self.values
-        square[jj, ii] = self.values
-        return square
 
 
 def build_sm(profiles) -> SimilarityMatrix:

@@ -10,7 +10,9 @@ happens, as the library's did before it stored levels as labels. It is
 kept verbatim, with only its imports adapted and its branch for ranking
 features over the original objects removed, so that property tests
 can check the library's loop, and everything the library derives from
-its labels, against it under every configuration.
+its labels, against it under every configuration. ``condensed_index``,
+which the library no longer needs, lives here with the loop that reads
+its matrix through it.
 """
 
 from __future__ import annotations
@@ -34,10 +36,18 @@ from mbclust import (
     MbcError,
     SimilarityMatrix,
     build_sm,
-    condensed_index,
     importance_report,
 )
 from pgp2_matrix import pgp2
+
+
+def condensed_index(size: int, i, j):
+    """Position of pair ``(i, j)``, ``i < j``, in a condensed upper triangle.
+
+    Rows are laid out in order ``(0,1), (0,2), .., (0,size-1), (1,2), ..``.
+    Accepts scalars or equally shaped arrays.
+    """
+    return i * (2 * size - i - 3) // 2 + j - 1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -353,6 +354,101 @@ def test_importance_pgp2_output_bytes_pinned(capsys, name, fmt, alpha):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == IMPORTANCE_PGP2_SHA256[name, fmt, alpha]
 
 
+# SHA-256 of the output of `importance --measure pgp|ppp`, recorded when
+# each command wrote its output by hand.
+IMPORTANCE_SHA256 = {
+    ("dataset_a.csv", "pgp", "json"): "011673f5285841a5fffc2fdde23de58db5f508e0384a5c3bc55fb4f8f1188df2",
+    ("dataset_a.csv", "pgp", "text"): "ea489ebbc72c9be4200f58266ab57e844e75dfdd10ff617dbe0078c80d65bbfd",
+    ("dataset_a.csv", "ppp", "json"): "b79ceecbcbcf90b063f3fe74a28e9acec017a3358f28635d59868dc16f2778a1",
+    ("dataset_a.csv", "ppp", "text"): "2f5e04682eabc00f6c28279542e5153c9d84206581bfff0453c901564765d446",
+    ("d42.csv", "pgp", "json"): "59405c1131c615e8b0f2185c8ac6ef843070af95294a7cb9319a468558334b7d",
+    ("d42.csv", "pgp", "text"): "621e5ff35f8dab47ddcc055d009b9c688ce417fbced69d50119f84f0a9f9dd69",
+    ("d42.csv", "ppp", "json"): "350811d6817863f31f375f0255fe2c266ecf1f5f65a1ff1d82397f4637964f92",
+    ("d42.csv", "ppp", "text"): "d1e68af6b3fdfae5ebaa325c27308957b8917b6a18831b88bac8150f06266edd",
+}
+
+
+@pytest.mark.parametrize("name, measure, fmt", sorted(IMPORTANCE_SHA256))
+def test_importance_output_bytes_pinned(capsys, name, measure, fmt):
+    assert main(["importance", str(DATA_DIR / name), "--measure", measure, "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == IMPORTANCE_SHA256[name, measure, fmt]
+
+
+# SHA-256 of `eval dataset_a_labeled.csv --labels group`, clustering first,
+# reading the assignments that `cluster` wrote, or cutting at k = 2.
+EVAL_SHA256 = {
+    ("csv", ()): "af1800dbbea053dab203501d000c2f50932732845e3e3c57b166fbff3034023f",
+    ("csv", ("--assignments",)): "af1800dbbea053dab203501d000c2f50932732845e3e3c57b166fbff3034023f",
+    ("csv", ("--k", "2")): "614062fd4da9a2b581564ac4d0b69ceceb84acc69bfbca8112a97c731011719b",
+    ("text", ()): "c5a1cc00774c6abac9fca4109362dcfc831cea55a3671f368130469776045039",
+    ("text", ("--assignments",)): "c5a1cc00774c6abac9fca4109362dcfc831cea55a3671f368130469776045039",
+    ("text", ("--k", "2")): "07f80578c6741d2bb46675b64ee067367665d4dfc100931338991c6b68dc1603",
+}
+
+
+@pytest.mark.parametrize("fmt, options", sorted(EVAL_SHA256))
+def test_eval_output_bytes_pinned(tmp_path, capsys, fmt, options):
+    argv = ["eval", LABELED, "--labels", "group", "--format", fmt, *options]
+    if options == ("--assignments",):
+        assignments = tmp_path / "assign.csv"
+        assert main(["cluster", LABELED, "--label-column", "group", "--out", str(assignments)]) == 0
+        capsys.readouterr()
+        argv.append(str(assignments))
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == EVAL_SHA256[fmt, options]
+
+
+# SHA-256 of the side files of `cluster`, run from the data directory so
+# that the manifest's "input" is the bare file name; the manifest's
+# "seconds" is masked to 0.
+CLUSTER_FILES_SHA256 = {
+    ("dataset_a.csv", (), "newick"): "6325efc0bb4ac142b29d8f0a5ef6b7cf608578c656bf68496e5dcf9f69b272e2",
+    ("dataset_a.csv", (), "trace"): "9f0f82dc539e4416480b3007f6c179fd69f8e814888f43fc9c9170357dfcf349",
+    ("dataset_a.csv", (), "manifest"): "d8b3401e7331e49c71293ff8fb39c0cf72584d52cfc2f5da99bdb4427af6544b",
+    ("dataset_a.csv", ("--ties", "pgp2"), "newick"): "6325efc0bb4ac142b29d8f0a5ef6b7cf608578c656bf68496e5dcf9f69b272e2",
+    ("dataset_a.csv", ("--ties", "pgp2"), "trace"): "32f470145fd9a776f5c701361525cfa810c4c7becad236dd4745fb45696de0cf",
+    ("dataset_a.csv", ("--ties", "pgp2"), "manifest"): "c552b6571bdbfbf652fdea4033206aab763c2073cccbd4bddc822883f891f921",
+    ("dataset_a.csv", ("--k", "2"), "newick"): "84f664bed7ee37b1cd4fd4b6f3e2f9056dcd778af32bcac998134cbfcabed15d",
+    ("dataset_a.csv", ("--k", "2"), "trace"): "9f0f82dc539e4416480b3007f6c179fd69f8e814888f43fc9c9170357dfcf349",
+    ("dataset_a.csv", ("--k", "2"), "manifest"): "3b574a06f80f75a623d896e002bf6a10ff57511e77d2d96c1b5ab3d3c25fc750",
+    ("d42.csv", (), "newick"): "040ae3346249c1be7334c5eadc2aedecde250d9f6c245de1b11e13a15c460eb9",
+    ("d42.csv", (), "trace"): "e59502bf5296da431c9fc2d1677b46fd77715e2b2484efe49ac9dfa92659a3e9",
+    ("d42.csv", (), "manifest"): "247ee424547ea203c75c4c86ef5f95012263fe1441a7b71e658e8a22d87ae1cf",
+}
+
+
+@pytest.mark.parametrize("name, options", sorted({key[:2] for key in CLUSTER_FILES_SHA256}))
+def test_cluster_side_files_pinned(tmp_path, capsys, monkeypatch, name, options):
+    monkeypatch.chdir(DATA_DIR)
+    files = {kind: tmp_path / kind for kind in ("newick", "trace", "manifest")}
+    assert main(["cluster", name, *options, *(a for kind, path in files.items() for a in (f"--{kind}-out", str(path)))]) == 0
+    capsys.readouterr()
+    for kind, path in files.items():
+        data = re.sub(rb'"seconds": [0-9.e-]+', b'"seconds": 0', path.read_bytes())
+        assert hashlib.sha256(data).hexdigest() == CLUSTER_FILES_SHA256[name, options, kind], kind
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", DATASET_A],
+    ["cluster", DATASET_A, "--format", "json"],
+    ["dendrogram", DATASET_A],
+    ["dendrogram", DATASET_A, "--format", "newick"],
+    *(["importance", D42, "--measure", measure, "--format", fmt]
+      for measure in ("pgp", "ppp", "pgp2") for fmt in ("text", "json")),
+    *(["similarity", DATASET_A, "--measure", measure, "--format", fmt]
+      for measure in ("cm", "overlap", "goodall", "lin") for fmt in ("csv", "json")),
+    ["eval", LABELED, "--labels", "group"],
+    ["eval", LABELED, "--labels", "group", "--format", "csv"],
+])
+def test_stdout_and_out_give_the_same_bytes(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 def test_eval_text_and_summary(capsys):
     assert main(["eval", LABELED, "--labels", "group"]) == 0
     out, _ = capsys.readouterr()
@@ -371,6 +467,29 @@ def test_eval_with_assignments_file(tmp_path, capsys):
     assert out.splitlines()[0] == "label,1,2,3,4"
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["purity"] == 1.0
+
+
+def test_byte_order_mark_changes_no_output(tmp_path, capsys):
+    """Spreadsheet exports often start with a UTF-8 byte-order mark, which
+    must not become part of the first column's name."""
+    rows = [line.split(",") for line in (DATA_DIR / "dataset_a_labeled.csv").read_text().splitlines()]
+    text = "".join(",".join([row[-1], *row[:-1]]) + "\n" for row in rows)  # the label column first
+    for name, encoding in (("data.csv", "utf-8"), ("bom-data.csv", "utf-8-sig")):
+        (tmp_path / name).write_text(text, encoding=encoding)
+    assert main(["cluster", LABELED, "--label-column", "group", "--out", str(tmp_path / "assign.csv")]) == 0
+    (tmp_path / "bom-assign.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "assign.csv").read_bytes())
+    capsys.readouterr()
+
+    def printed(argv, prefix):
+        assert main([str(arg).replace("PREFIX", prefix) for arg in argv]) == 0
+        return capsys.readouterr().out
+
+    for argv in [
+        ("cluster", tmp_path / "PREFIXdata.csv", "--label-column", "group", "--format", "json"),
+        ("importance", tmp_path / "PREFIXdata.csv", "--label-column", "group"),
+        ("eval", LABELED, "--labels", "group", "--assignments", tmp_path / "PREFIXassign.csv"),
+    ]:
+        assert printed(argv, "bom-") == printed(argv, "")
 
 
 def test_eval_bad_assignments_file(tmp_path, capsys):

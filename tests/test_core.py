@@ -405,6 +405,17 @@ def test_cut_at_k_validation(dataset_a):
         cut_at_k(empty, 1)
 
 
+@pytest.mark.parametrize("k", [True, 2.5, np.float64(2.0), "2"])
+def test_cut_at_k_follows_the_config_k_rule(dataset_a, k):
+    dendro = run(dataset_a, MbcConfig(anti_merge=False)).dendrogram
+    message = re.escape(f"k must be an integer, got {k!r}")
+    with pytest.raises(ValueError, match=message):
+        MbcConfig(k=k).validated()
+    with pytest.raises(ValueError, match=message):
+        cut_at_k(dendro, k)
+    assert cut_at_k(dendro, np.int64(2)) == cut_at_k(dendro, 2)
+
+
 def test_cut_at_k_builds_one_level(dataset_a, monkeypatch):
     dendro = run(dataset_a, MbcConfig(anti_merge=False)).dendrogram
     built = []

@@ -13,22 +13,25 @@ def test_load_shape_and_names(dataset_a):
 
 def test_first_appearance_encoding(dataset_a):
     # a2 appears in the first row, so it takes code 0.
-    assert dataset_a.categories(0) == ("a2", "a1")
-    assert dataset_a.code_of(0, "a2") == 0
-    assert dataset_a.code_of(0, "a1") == 1
-    assert dataset_a.categories(4) == ("e2", "e1", "e4", "e3")
+    assert dataset_a.category_labels[0] == ("a2", "a1")
+    assert dataset_a.category_labels[0].index("a2") == 0
+    assert dataset_a.category_labels[0].index("a1") == 1
+    assert dataset_a.category_labels[4] == ("e2", "e1", "e4", "e3")
 
 
 def test_frequencies(dataset_a):
-    a = dataset_a.feature_index("A")
-    assert dataset_a.frequency(a, dataset_a.code_of(a, "a1")) == 6
-    assert dataset_a.frequency(a, dataset_a.code_of(a, "a2")) == 4
+    a = dataset_a.feature_names.index("A")
+    assert dataset_a.frequency(a, dataset_a.category_labels[a].index("a1")) == 6
+    assert dataset_a.frequency(a, dataset_a.category_labels[a].index("a2")) == 4
     assert dataset_a.frequencies_for(a).sum() == dataset_a.n
 
 
 def test_row_decode_roundtrip(dataset_a):
-    assert dataset_a.decode_row(0) == ("a2", "b1", "c2", "d3", "e2")
-    assert dataset_a.decode_row(8) == ("a1", "b2", "c1", "d1", "e3")
+    def decode(i):
+        return tuple(dataset_a.category_labels[f][c] for f, c in enumerate(dataset_a.row(i)))
+
+    assert decode(0) == ("a2", "b1", "c2", "d3", "e2")
+    assert decode(8) == ("a1", "b2", "c1", "d1", "e3")
     row = dataset_a.row(5)
     assert all(isinstance(c, int) for c in row)
 
@@ -56,14 +59,14 @@ def test_cells_are_read_only(dataset_a):
 def test_from_codes_defaults():
     data = Dataset.from_codes([[0, 1], [1, 0], [0, 0]])
     assert data.feature_names == ("f0", "f1")
-    assert data.categories(0) == ("c0", "c1")
+    assert data.category_labels[0] == ("c0", "c1")
     assert data.frequency(0, 0) == 2
 
 
 def test_from_codes_compacts_sparse_codes():
-    assert Dataset.from_codes([[0], [2]]).categories(0) == ("c0", "c2")
+    assert Dataset.from_codes([[0], [2]]).category_labels[0] == ("c0", "c2")
     sparse = Dataset.from_codes([[0, 1], [3_000_000, 0], [5, 1]])
-    assert sparse.categories(0) == ("c0", "c5", "c3000000")
+    assert sparse.category_labels[0] == ("c0", "c5", "c3000000")
     assert np.array_equal(sparse.codes_matrix, [[0, 1], [2, 0], [1, 1]])
     assert run(np.array([[0, 1], [3_000_000, 0], [5, 1]])).partition == ((0, 2), (1,))
 
@@ -81,14 +84,8 @@ def test_constructor_validation():
 
 
 def test_lookup_errors(dataset_a):
-    with pytest.raises(KeyError):
-        dataset_a.feature_index("Z")
-    with pytest.raises(KeyError):
-        dataset_a.code_of(0, "zebra")
     with pytest.raises(IndexError):
         dataset_a.frequency(0, 17)
-    with pytest.raises(IndexError):
-        dataset_a.column(5)
 
 
 def test_csv_missing_rejected_by_default(tmp_path):
@@ -102,12 +99,23 @@ def test_csv_missing_as_category(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("A,B\nx,y\nx,?\n ,y\n")
     data = load_csv(path, missing_policy="category")
-    assert data.categories(0) == ("x", "?")
-    assert data.categories(1) == ("y", "?")
-    assert data.frequency(0, data.code_of(0, "?")) == 1
-    # the long-form policy name is accepted too
-    same = load_csv(path, missing_policy="distinct-category")
-    assert np.array_equal(same.cells, data.cells)
+    assert data.category_labels[0] == ("x", "?")
+    assert data.category_labels[1] == ("y", "?")
+    assert data.frequency(0, data.category_labels[0].index("?")) == 1
+
+
+def test_csv_byte_order_mark_is_skipped(tmp_path):
+    text = "label,A,B\np,x,y\nq,x,z\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    first, second = (load_csv(path, label_column="label") for path in (plain, marked))
+    assert second.feature_names == first.feature_names == ("A", "B")
+    assert second.labels == first.labels == ("p", "q")
+    assert second.category_labels == first.category_labels
+    assert np.array_equal(second.cells, first.cells)
 
 
 def test_csv_unknown_policy(tmp_path):
@@ -122,7 +130,7 @@ def test_csv_whitespace_trimmed(tmp_path):
     path.write_text("A, B\n x ,y\nx, y \n")
     data = load_csv(path)
     assert data.feature_names == ("A", "B")
-    assert data.categories(0) == ("x",)
+    assert data.category_labels[0] == ("x",)
     assert data.frequency(1, 0) == 2
 
 

@@ -6,7 +6,6 @@ from mbclust import (
     Dataset,
     DegenerateDataError,
     build_sm,
-    condensed_index,
     count_matches,
     goodall,
     lin,
@@ -15,6 +14,7 @@ from mbclust import (
     update_sm_after_drop,
 )
 from conftest import random_codes
+from matrix_loop import condensed_index
 from oracles import PAIR_MEASURES_D42, SM_A_FULL
 
 
@@ -48,21 +48,6 @@ def test_match_count_matrix_on_example(dataset_a):
     sm = build_sm(dataset_a.codes_matrix)
     assert sm.size == 10 and sm.theta == 5
     assert np.array_equal(sm.values, SM_A_FULL)
-
-
-def test_value_at_and_square(dataset_a):
-    sm = build_sm(dataset_a.codes_matrix)
-    assert sm.value_at(0, 1) == 5
-    assert sm.value_at(1, 0) == 5
-    assert sm.value_at(6, 9) == 5
-    square = sm.to_square()
-    assert np.array_equal(square, square.T)
-    assert np.all(np.diag(square) == 0)
-    assert square[4, 6] == 4
-    with pytest.raises(ValueError):
-        sm.value_at(3, 3)
-    with pytest.raises(IndexError):
-        sm.value_at(0, 10)
 
 
 def test_build_sm_accepts_dataset(dataset_a):

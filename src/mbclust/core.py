@@ -15,9 +15,10 @@ trades dendrogram structure for cluster stability, so results produced
 with the rule enabled cannot be cut at a chosen cluster count.
 
 The loop is array work: a state holds one entity label per object and
-one profile row per entity, and identical profiles are found by sorting
-one packed integer key per row. The dendrogram keeps each level's
-labels; member tuples and merge records are derived from them on demand.
+one feature-major profile row per entity, and identical profiles are
+found by one sort of one packed integer key per row. The dendrogram
+keeps each level's labels; member tuples and merge records are derived
+from them on demand.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ class ClusteringState:
     ``labels`` gives each object the index of its entity (its current
     cluster); the loop numbers entities in order of their smallest
     member. ``profiles`` holds one code row per entity over the
-    remaining features; ``remaining_features`` maps its columns back to
-    original feature indices. ``frozen`` holds the indices of entities
-    that the containment rule keeps from merging this round.
+    remaining features, feature-major in the loop so that each column is
+    contiguous; ``remaining_features`` maps its columns back to original
+    feature indices. ``frozen`` holds the indices of entities that the
+    containment rule keeps from merging this round.
 
     A state is built from ``labels`` or from ``entities``, the clusters
     as member tuples in entity order; :attr:`entities` is derived from
@@ -166,8 +168,9 @@ class ClusteringState:
         return _member_tuples(self.labels)
 
     @cached_property
-    def _groups(self) -> np.ndarray:
-        """Per entity, the rank of its profile; see :func:`_profile_groups`."""
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per entity the rank of its profile, and per rank the first
+        entity with that profile; see :func:`_profile_groups`."""
         return _profile_groups(self)
 
 
@@ -203,7 +206,7 @@ def _labels_of(entities) -> np.ndarray:
 
 def initial_state(data) -> ClusteringState:
     """All-singleton state over a dataset or raw code matrix."""
-    codes = as_codes(data).copy()
+    codes = as_codes(data).copy(order="F")
     n, m = codes.shape
     return ClusteringState(labels=np.arange(n), profiles=codes, remaining_features=tuple(range(m)))
 
@@ -212,13 +215,25 @@ def initial_state(data) -> ClusteringState:
 _KEY_LIMIT = 1 << 62
 
 
-def _profile_groups(state: ClusteringState) -> np.ndarray:
-    """Per entity, the rank of its profile among the distinct profiles.
+def _sorted_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per item, the rank of its key among the distinct keys, and per rank
+    the first item with that key; from one argsort of the keys."""
+    order = np.argsort(key)
+    ranked, new = key[order], np.ones(len(key), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    return group, np.minimum.reduceat(order, np.flatnonzero(new))
 
-    Each profile is packed into one int64 key, column by column
-    (``key = key * card + code`` with the column's codes shifted to
-    start at 0), so identical profiles are found by sorting one integer
-    per entity, and the key order is the lexicographic order of the
+
+def _profile_groups(state: ClusteringState) -> tuple[np.ndarray, np.ndarray]:
+    """Per entity the rank of its profile among the distinct profiles, and
+    per rank the first entity with that profile.
+
+    Each profile is packed into one int64 key, column by column (``key =
+    key * card + code`` with the column's codes shifted to start at 0),
+    so one argsort of one integer per entity finds the identical
+    profiles, and the key order is the lexicographic order of the
     profiles. A column whose codes span more values than there are
     entities is replaced by its ranks first, and the key is replaced by
     its ranks whenever the next product would pass 2**62, so any int64
@@ -226,8 +241,7 @@ def _profile_groups(state: ClusteringState) -> np.ndarray:
     """
     profiles = state.profiles
     e = len(profiles)
-    key = np.zeros(e, dtype=np.int64)
-    card = 1
+    key, card = np.zeros(e, dtype=np.int64), 1
     for column, low, high in zip(profiles.T, profiles.min(axis=0).tolist(), profiles.max(axis=0).tolist()):
         span = high - low + 1
         if span > e:
@@ -240,7 +254,7 @@ def _profile_groups(state: ClusteringState) -> np.ndarray:
             card = int(key.max()) + 1
         key = key * span + column
         card *= span
-    return np.unique(key, return_inverse=True)[1]
+    return _sorted_groups(key)
 
 
 def group_matching(state: ClusteringState) -> ClusteringState:
@@ -251,24 +265,26 @@ def group_matching(state: ClusteringState) -> ClusteringState:
     Frozen entities stay apart. The merged entities are numbered in
     order of their smallest old index, which keeps the entities ordered
     by smallest member, and each object's new label is read off its old
-    one. Returns the input state unchanged when nothing merges.
+    one, all from the state's cached grouping without another sort. The
+    merged profiles are feature-major. Returns the input state unchanged
+    when nothing merges.
     """
     e = len(state.profiles)
     if e < 2:
         return state
-    group = state._groups
+    group, first = state._groups
     if state.frozen:
         frozen = np.fromiter(state.frozen, dtype=np.intp, count=len(state.frozen))
         group = group.copy()
-        group[frozen] = group.max() + 1 + np.arange(len(frozen))  # groups of their own
-    _, first, new_of_old = np.unique(group, return_index=True, return_inverse=True)
-    if len(first) == e:
+        group[frozen] = len(first) + np.arange(len(frozen))  # groups of their own
+        first = np.full(len(first) + len(frozen), e)  # e stays on a group the freeze emptied
+        np.minimum.at(first, group, np.arange(e))
+    is_first = np.zeros(e, dtype=bool)
+    is_first[first[first < e]] = True
+    if is_first.all():
         return state
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return replace(state, labels=rank[new_of_old][state.labels], profiles=state.profiles[first[order]],
-                   frozen=frozenset())
+    return replace(state, labels=(np.cumsum(is_first) - 1)[first[group]][state.labels],
+                   profiles=state.profiles.T.compress(is_first, axis=1).T, frozen=frozenset())
 
 
 def anti_merge_update(state: ClusteringState) -> ClusteringState:
@@ -283,14 +299,14 @@ def anti_merge_update(state: ClusteringState) -> ClusteringState:
     is_cluster = state.sizes > 1
     if is_cluster.sum() < 2:
         return state
-    group = state._groups
-    clusters_per_group = np.bincount(group[is_cluster], minlength=group.max() + 1)
+    group, first = state._groups
+    clusters_per_group = np.bincount(group[is_cluster], minlength=len(first))
     colliding = np.flatnonzero(is_cluster & (clusters_per_group[group] >= 2))
     frozen = state.frozen | set(colliding.tolist())
     if frozen == state.frozen:
         return state
     out = replace(state, frozen=frozen)
-    out.__dict__["_groups"] = group  # same profiles, so the next group_matching reuses them
+    out.__dict__["_groups"] = state._groups  # same profiles, so the next group_matching reuses them
     return out
 
 
@@ -331,8 +347,8 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
         # entity the first entity that shares its code.
         splits = {}
         for pos in tied:
-            _, first, inverse = np.unique(state.profiles[:, pos], return_index=True, return_inverse=True)
-            splits.setdefault(first[inverse].tobytes(), pos)
+            group, first = _sorted_groups(state.profiles[:, pos])
+            splits.setdefault(first[group].tobytes(), pos)
         heads = list(splits.values())
         kept = pgp2_kept_counts(state.profiles, heads, config.alpha)[0] if len(heads) > 1 else [0]
         chosen = [heads[kept.index(max(kept))]]
@@ -408,6 +424,16 @@ class Dendrogram:
         labels = np.array(self.labels, dtype=np.intp).reshape(len(self.labels), self.n_leaves)
         if len(labels) and (labels[0] != np.arange(self.n_leaves)).any():
             raise ValueError("level 0 must be the all-singleton partition")
+        # Numbered by first appearance: no label is negative or more than one above all labels before it.
+        top = np.maximum.accumulate(labels, axis=1)
+        if labels.min(initial=0) < 0 or (labels[:, :1] > 0).any() or (top[:, 1:] - top[:, :-1] > 1).any():
+            raise ValueError("each level must number its entities 0, 1, ... in order of smallest member")
+        # Coarsening: objects that share an entity share the next level's entity too.
+        old, new = (labels[:-1] + np.arange(len(labels) - 1)[:, None] * self.n_leaves).ravel(), labels[1:].ravel()
+        new_of_old = np.empty(len(old), dtype=np.intp)
+        new_of_old[old] = new
+        if (new_of_old[old] != new).any():
+            raise ValueError("each level must coarsen the level before it")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
@@ -417,6 +443,9 @@ class Dendrogram:
         children)``, with the children's node ids in entity order."""
         nodes, next_node, formed = np.arange(self.n_leaves), self.n_leaves, [()]
         for old, new in zip(self.labels, self.labels[1:]):
+            if len(nodes) == new.max(initial=-1) + 1:  # as many entities as before: the same partition
+                formed.append(())
+                continue
             # New entity of each old one; the old entities of each new one,
             # in entity order, are a run of ``children``.
             new_of_old = np.empty(len(nodes), dtype=np.intp)
@@ -594,7 +623,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
     """
     config = (config or MbcConfig()).validated()
     if not hasattr(data, "codes_matrix"):
-        data = Dataset.from_codes(np.asarray(data, dtype=np.int64))
+        data = Dataset.from_codes(data)
 
     state = initial_state(data)
     labels = [state.labels]
@@ -620,16 +649,10 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
             stop_reason = STOP_TIED_IMPORTANCE
             break
 
-        drop_set = set(dropped_ids)
-        kept_positions = [pos for pos, f in enumerate(grouped.remaining_features) if f not in drop_set]
-        remaining = tuple(grouped.remaining_features[pos] for pos in kept_positions)
-        profiles = grouped.profiles[:, kept_positions].copy()
-        state = ClusteringState(
-            labels=grouped.labels,
-            profiles=profiles,
-            remaining_features=remaining,
-            iteration=grouped.iteration + 1,
-        )
+        kept = [pos for pos, f in enumerate(grouped.remaining_features) if f not in dropped_ids]
+        state = ClusteringState(labels=grouped.labels, profiles=np.asfortranarray(grouped.profiles[:, kept]),
+                                remaining_features=tuple(grouped.remaining_features[pos] for pos in kept),
+                                iteration=grouped.iteration + 1)
         if config.anti_merge:
             frozen = anti_merge_update(state)
             if frozen is not state:

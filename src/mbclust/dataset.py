@@ -24,11 +24,20 @@ _MISSING_LABEL = "?"
 
 
 def as_codes(data) -> np.ndarray:
-    """The int64 (n, m) code matrix of a :class:`Dataset` or a 2-D array-like."""
-    codes = np.asarray(getattr(data, "codes_matrix", data), dtype=np.int64)
+    """The int64 (n, m) code matrix of a :class:`Dataset` or a 2-D array-like.
+
+    Float input must hold integers: ``ValueError`` names the first cell
+    that is fractional, not finite or outside int64, instead of casting it.
+    """
+    codes = np.asarray(getattr(data, "codes_matrix", data))
     if codes.ndim != 2:
         raise ValueError("data must form a 2-D code matrix")
-    return codes
+    if codes.dtype.kind == "f":
+        bad = (codes != np.floor(codes)) | (codes < -2.0**63) | (codes >= 2.0**63)
+        if bad.any():
+            row, col = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"cell ({row}, {col}) holds {codes[row, col]}, which is not an integer code")
+    return codes.astype(np.int64, copy=False)
 
 
 class Dataset:
@@ -48,9 +57,7 @@ class Dataset:
 
     def __init__(self, cells, feature_names, category_labels, labels=None):
         # always copy so freezing the cells cannot affect a caller's array
-        cells = np.array(cells, dtype=np.int64, order="C")
-        if cells.ndim != 2:
-            raise ValueError("cells must be a 2-D matrix")
+        cells = as_codes(cells).copy()
         n, m = cells.shape
         if n < 1 or m < 1:
             raise ValueError("dataset needs at least one object and one feature")
@@ -89,9 +96,7 @@ class Dataset:
         and each category is labeled ``c`` followed by its original code,
         so cost depends on the matrix size and not on the code values.
         """
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.ndim != 2:
-            raise ValueError("codes must be a 2-D matrix")
+        codes = as_codes(codes)
         m = codes.shape[1]
         if feature_names is None:
             feature_names = tuple(f"f{i}" for i in range(m))

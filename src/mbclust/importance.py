@@ -84,19 +84,16 @@ def importance_report(data, feature_names: Sequence[str] | None = None) -> Impor
     if len(feature_names) != f:
         raise ValueError(f"expected {f} feature names, got {len(feature_names)}")
 
-    match = match_pair_counts(codes)
-    mismatch = e * (e - 1) - match
-    match_total = int(match.sum())
-    mismatch_total = int(mismatch.sum())
-    pgp_vals = tuple(Fraction(int(v), match_total) for v in match) if match_total else None
-    ppp_vals = tuple(Fraction(int(v), mismatch_total) for v in mismatch) if mismatch_total else None
+    match = match_pair_counts(codes).tolist()
+    mismatch = [e * (e - 1) - v for v in match]
+    match_total, mismatch_total = sum(match), sum(mismatch)
     return ImportanceReport(
         feature_names=feature_names,
         n_entities=e,
-        match_pairs=tuple(int(v) for v in match),
-        mismatch_pairs=tuple(int(v) for v in mismatch),
-        pgp=pgp_vals,
-        ppp=ppp_vals,
+        match_pairs=tuple(match),
+        mismatch_pairs=tuple(mismatch),
+        pgp=tuple(Fraction(v, match_total) for v in match) if match_total else None,
+        ppp=tuple(Fraction(v, mismatch_total) for v in mismatch) if mismatch_total else None,
     )
 
 

@@ -87,8 +87,7 @@ def lin(x: Sequence[int], y: Sequence[int], data, features: Iterable[int] | None
     """
     feats = _feature_list(x, y, features)
     n = data.n
-    num = 0.0
-    den = 0.0
+    num = den = 0.0
     for f in feats:
         px = data.frequency(f, x[f]) / n
         py = data.frequency(f, y[f]) / n
@@ -136,10 +135,6 @@ def build_sm(profiles) -> SimilarityMatrix:
     e, f = codes.shape
     if f == 0:
         raise ValueError("profiles carry no features")
-    if e < 2:
-        values = np.zeros(0, dtype=np.int64)
-        values.setflags(write=False)
-        return SimilarityMatrix(size=e, values=values, theta=f)
     # Feature-major copy: each row block then sums f long vectors.
     columns = np.ascontiguousarray(codes.T)
     values = np.empty(e * (e - 1) // 2, dtype=np.int64)

@@ -169,8 +169,7 @@ class ClusteringState:
 
     @cached_property
     def _groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per entity the rank of its profile, and per rank the first
-        entity with that profile; see :func:`_profile_groups`."""
+        """Per entity its profile's rank, and per rank its first entity; see :func:`_profile_groups`."""
         return _profile_groups(self)
 
 
@@ -246,13 +245,12 @@ def _profile_groups(state: ClusteringState) -> tuple[np.ndarray, np.ndarray]:
         span = high - low + 1
         if span > e:
             _, column = np.unique(column, return_inverse=True)
-            span = int(column.max()) + 1
-        else:
-            column = column - low
+            low, span = 0, int(column.max()) + 1
         if card * span > _KEY_LIMIT:
             _, key = np.unique(key, return_inverse=True)
             card = int(key.max()) + 1
-        key = key * span + column
+        key *= span
+        key += column - low
         card *= span
     return _sorted_groups(key)
 
@@ -425,8 +423,8 @@ class Dendrogram:
         if len(labels) and (labels[0] != np.arange(self.n_leaves)).any():
             raise ValueError("level 0 must be the all-singleton partition")
         # Numbered by first appearance: no label is negative or more than one above all labels before it.
-        top = np.maximum.accumulate(labels, axis=1)
-        if labels.min(initial=0) < 0 or (labels[:, :1] > 0).any() or (top[:, 1:] - top[:, :-1] > 1).any():
+        steps = np.diff(np.maximum.accumulate(labels, axis=1), axis=1)
+        if labels.min(initial=0) < 0 or (labels[:, :1] > 0).any() or (steps > 1).any():
             raise ValueError("each level must number its entities 0, 1, ... in order of smallest member")
         # Coarsening: objects that share an entity share the next level's entity too.
         old, new = (labels[:-1] + np.arange(len(labels) - 1)[:, None] * self.n_leaves).ravel(), labels[1:].ravel()

@@ -87,7 +87,8 @@ def lin(x: Sequence[int], y: Sequence[int], data, features: Iterable[int] | None
     """
     feats = _feature_list(x, y, features)
     n = data.n
-    num = den = 0.0
+    num = 0.0
+    den = 0.0
     for f in feats:
         px = data.frequency(f, x[f]) / n
         py = data.frequency(f, y[f]) / n

@@ -440,6 +440,17 @@ def test_dendrogram_checks_its_labels():
     dendro = Dendrogram(n_leaves=2, labels=labels)
     labels[1, 1] = 1
     assert dendro.level_sizes == (2, 1) and not dendro.labels.flags.writeable
+    # Level 2 splits {0, 2} of level 1, so level 2 is no coarsening.
+    with pytest.raises(ValueError, match="coarsen"):
+        Dendrogram(n_leaves=3, labels=[[0, 1, 2], [0, 1, 0], [0, 0, 1]])
+    # Entity 1 is empty; entities out of smallest-member order; a negative label.
+    for level in ([0, 2, 2], [1, 0, 0], [0, -1, 1]):
+        with pytest.raises(ValueError, match="order of smallest member"):
+            Dendrogram(n_leaves=3, labels=[[0, 1, 2], level])
+    repeated = Dendrogram(n_leaves=3, labels=[[0, 1, 2], [0, 0, 1], [0, 0, 1], [0, 0, 0]])
+    assert repeated.level_sizes == (3, 2, 2, 1) and repeated.to_newick() == "((0,1),2);"
+    assert [(m.iteration, m.parent, m.children) for m in repeated.merge_events] == [(0, 3, (0, 1)), (2, 4, (3, 2))]
+    assert Dendrogram(n_leaves=0, labels=[[]]).level_sizes == (0,)
 
 
 def test_levels_are_coarsenings(dataset_a):
@@ -507,6 +518,7 @@ def test_run_groups_each_profile_matrix_once(dataset_a, monkeypatch):
     profile_groups = mbclust.core._profile_groups
 
     def counting(state):
+        assert state.profiles.flags.f_contiguous  # run() keeps the profiles feature-major
         grouped.append(state.profiles)
         return profile_groups(state)
 
@@ -517,6 +529,19 @@ def test_run_groups_each_profile_matrix_once(dataset_a, monkeypatch):
         assert result.dendrogram.anti_merge_used
         # anti_merge_update and the group_matching after it share one grouping
         assert len({id(profiles) for profiles in grouped}) == len(grouped) == len(result.trace)
+
+
+def test_group_matching_sorts_nothing_once_grouped(monkeypatch):
+    profiles = np.asfortranarray(np.random.default_rng(11).integers(0, 2, size=(60, 4)))
+    states = [ClusteringState(labels=np.arange(60), profiles=profiles, remaining_features=tuple(range(4)),
+                              frozen=frozen) for frozen in (frozenset(), {0, 5, 17, 59})]
+    for state in states:
+        state._groups  # compute and cache the grouping; the rest of group_matching must not sort
+    for name in ("unique", "argsort", "sort", "lexsort"):
+        monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(f"group_matching called np.{name}"))
+    for state in states:
+        grouped = group_matching(state)
+        assert len(grouped.profiles) < 60 and grouped.profiles.flags.f_contiguous
 
 
 def test_theta_strictly_decreasing(dataset_a):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbclust import CsvError, Dataset, load_csv, run
+from mbclust import CsvError, Dataset, build_sm, importance_report, load_csv, run
 from conftest import DATA_DIR
 
 
@@ -69,6 +69,35 @@ def test_from_codes_compacts_sparse_codes():
     assert sparse.category_labels[0] == ("c0", "c5", "c3000000")
     assert np.array_equal(sparse.codes_matrix, [[0, 1], [2, 0], [1, 1]])
     assert run(np.array([[0, 1], [3_000_000, 0], [5, 1]])).partition == ((0, 2), (1,))
+
+
+FRACTIONAL = np.array([[0.2, 1], [0.7, 1], [1.0, 0], [1.9, 0]])
+
+
+@pytest.mark.parametrize("entry", [
+    run,
+    Dataset.from_codes,
+    lambda codes: Dataset(codes, ["a", "b"], [("x", "y")] * 2),
+    importance_report,
+    build_sm,
+])
+@pytest.mark.parametrize("codes, cell", [
+    (FRACTIONAL, r"\(0, 0\) holds 0.2"),
+    (np.array([[0, 1], [1, np.nan]]), r"\(1, 1\) holds nan"),
+    (np.array([[0, -np.inf], [1, 0]]), r"\(0, 1\) holds -inf"),
+    (np.array([[0, 1], [2.0**63, 0]]), r"\(1, 0\) holds 9.22\d*e\+18"),
+])
+def test_float_codes_must_be_integers(entry, codes, cell):
+    # A cast would make 0.2 and 0.7 one category and NaN a huge negative code.
+    with pytest.raises(ValueError, match=cell + ", which is not an integer code"):
+        entry(codes)
+
+
+def test_integral_floats_and_bools_are_codes():
+    integral = np.floor(FRACTIONAL)
+    assert run(integral).partition == run(integral.astype(np.int64)).partition == ((0, 1), (2, 3))
+    assert run(np.array([[True, False], [True, False], [False, True]])).partition == ((0, 1), (2,))
+    assert np.array_equal(Dataset.from_codes([[-2.0**63, 1.0]]).codes_matrix, [[0, 0]])
 
 
 def test_constructor_validation():

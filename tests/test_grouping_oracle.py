@@ -8,7 +8,10 @@ the column spans passes 2**62 and the key must be re-ranked, and their
 codes include negative values, values near +-2**62 and the int64
 extremes. The reference finds the groups with
 ``np.unique(profiles, axis=0)`` and applies the merge and freeze rules
-entity by entity.
+entity by entity. Every state is tried with its profiles row-major,
+feature-major (the loop's own layout) and as a column slice of a wider
+matrix, and with no frozen entity, the entities that the containment
+rule freezes, and a drawn set of frozen entities.
 """
 
 from collections import Counter
@@ -82,18 +85,32 @@ def reference_merge(state):
     return entities, state.profiles[[comp[0] for comp in components]]
 
 
+def layouts(profiles):
+    """The same profiles row-major, feature-major and as every other
+    column of a wider matrix."""
+    wide = np.zeros((len(profiles), 2 * profiles.shape[1]), dtype=profiles.dtype)
+    wide[:, 1::2] = profiles
+    return np.ascontiguousarray(profiles), np.asfortranarray(profiles), wide[:, 1::2]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(state=states())
-def test_packed_grouping_equals_row_grouping(state):
-    frozen = anti_merge_update(state)
-    assert frozen.frozen == reference_frozen(state)
-    for before in (state, frozen):
-        entities, profiles = reference_merge(before)
-        grouped = group_matching(before)
-        assert grouped.entities == entities
-        assert np.array_equal(grouped.profiles, profiles)
-        assert grouped.frozen == (before.frozen if grouped is before else frozenset())
+@given(state=states(), data=st.data())
+def test_packed_grouping_equals_row_grouping(state, data):
+    expected_frozen = reference_frozen(state)
+    drawn = data.draw(st.frozensets(st.integers(0, len(state.profiles) - 1)), label="frozen")
+    for profiles in layouts(state.profiles):
+        fresh = ClusteringState(labels=state.labels, profiles=profiles, remaining_features=state.remaining_features)
+        frozen = anti_merge_update(fresh)  # shares the grouping that fresh computed
+        assert frozen.frozen == expected_frozen
+        drawn_state = ClusteringState(labels=state.labels, profiles=profiles,
+                                      remaining_features=state.remaining_features, frozen=drawn)
+        for before in (fresh, frozen, drawn_state):
+            entities, expected = reference_merge(before)
+            grouped = group_matching(before)
+            assert grouped.entities == entities
+            assert np.array_equal(grouped.profiles, expected)
+            assert grouped.frozen == (before.frozen if grouped is before else frozenset())
 
 
 @pytest.mark.parametrize("low, high", [(0, 1), (int(INT64.min), int(INT64.max)), (-BIG, BIG)])

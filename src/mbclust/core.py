@@ -422,16 +422,17 @@ class Dendrogram:
         labels = np.array(self.labels, dtype=np.intp).reshape(len(self.labels), self.n_leaves)
         if len(labels) and (labels[0] != np.arange(self.n_leaves)).any():
             raise ValueError("level 0 must be the all-singleton partition")
-        # Numbered by first appearance: no label is negative or more than one above all labels before it.
-        steps = np.diff(np.maximum.accumulate(labels, axis=1), axis=1)
-        if labels.min(initial=0) < 0 or (labels[:, :1] > 0).any() or (steps > 1).any():
-            raise ValueError("each level must number its entities 0, 1, ... in order of smallest member")
-        # Coarsening: objects that share an entity share the next level's entity too.
-        old, new = (labels[:-1] + np.arange(len(labels) - 1)[:, None] * self.n_leaves).ravel(), labels[1:].ravel()
-        new_of_old = np.empty(len(old), dtype=np.intp)
-        new_of_old[old] = new
-        if (new_of_old[old] != new).any():
-            raise ValueError("each level must coarsen the level before it")
+        # Each level numbers its entities by first appearance (no label negative or more than one above all
+        # before it) and coarsens the level before; checked level by level, so temporaries stay O(n).
+        new_of_old = np.empty(self.n_leaves, dtype=np.intp)
+        for old, new in zip(labels, labels[1:]):
+            if np.array_equal(old, new):
+                continue
+            if new[:1].any() or new.min() < 0 or (np.diff(np.maximum.accumulate(new)) > 1).any():
+                raise ValueError("each level must number its entities 0, 1, ... in order of smallest member")
+            new_of_old[old] = new
+            if (new_of_old[old] != new).any():
+                raise ValueError("each level must coarsen the level before it")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 

@@ -80,13 +80,13 @@ FRACTIONAL = np.array([[0.2, 1], [0.7, 1], [1.0, 0], [1.9, 0]])
     lambda codes: Dataset(codes, ["a", "b"], [("x", "y")] * 2),
     importance_report,
     build_sm,
-])
+], ids=["run", "from_codes", "Dataset", "importance_report", "build_sm"])
 @pytest.mark.parametrize("codes, cell", [
     (FRACTIONAL, r"\(0, 0\) holds 0.2"),
     (np.array([[0, 1], [1, np.nan]]), r"\(1, 1\) holds nan"),
     (np.array([[0, -np.inf], [1, 0]]), r"\(0, 1\) holds -inf"),
     (np.array([[0, 1], [2.0**63, 0]]), r"\(1, 0\) holds 9.22\d*e\+18"),
-])
+], ids=["fractional", "nan", "-inf", "2**63"])
 def test_float_codes_must_be_integers(entry, codes, cell):
     # A cast would make 0.2 and 0.7 one category and NaN a huge negative code.
     with pytest.raises(ValueError, match=cell + ", which is not an integer code"):

@@ -13,7 +13,7 @@ in this process, with ``time.perf_counter``:
   and the dendrogram, Newick and trace side files; its run manifest,
   which it writes to stderr, goes to the null device.
 
-Each layer runs ``--repeats`` times; the minimum and the median are kept.
+Each layer runs ``REPEATS`` (3) times; the minimum and the median are kept.
 After each size the script reads ``VmHWM`` (the peak resident set size of
 this process) from ``/proc/self/status``; sizes run in ascending order, so
 each reading is the peak up to and including that size. The results, with
@@ -22,7 +22,7 @@ line.
 
 Usage::
 
-    python scripts/bench_layers.py BENCH.json [--sizes 2500 20000 100000] [--repeats 3]
+    python scripts/bench_layers.py BENCH.json
 
 Stdlib plus numpy; ``src/`` is put on the import path, so no install is
 needed.
@@ -52,6 +52,9 @@ FEATURES = 20
 CATEGORIES = 3
 PROTOTYPES = 20
 NOISE = 0.15
+SIZES = (2500, 20000, 100000)
+REPEATS = 3
+SEED = 0
 
 
 def planted_csv(path: Path, n: int, seed: int) -> None:
@@ -80,31 +83,31 @@ def peak_rss_mb() -> float | None:
     return None
 
 
-def timed(repeats: int, operation) -> tuple[dict, object]:
-    """Minimum and median seconds of ``repeats`` calls, and the last result."""
+def timed(operation) -> tuple[dict, object]:
+    """Minimum and median seconds of ``REPEATS`` calls, and the last result."""
     seconds = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         started = time.perf_counter()
         result = operation()
         seconds.append(time.perf_counter() - started)
     return {"min_s": min(seconds), "median_s": statistics.median(seconds)}, result
 
 
-def bench_size(n: int, seed: int, repeats: int, work: Path) -> dict:
+def bench_size(n: int, work: Path) -> dict:
     csv_path = work / f"planted_{n}.csv"
-    planted_csv(csv_path, n, seed)
+    planted_csv(csv_path, n, SEED)
     out = work / f"out_{n}"
     out.mkdir()
     layers = {}
-    layers["load_csv"], data = timed(repeats, lambda: load_csv(csv_path, label_column="label"))
-    layers["run"], result = timed(repeats, lambda: run(data))
-    layers["to_json"], _ = timed(repeats, result.dendrogram.to_json)
-    layers["to_newick"], _ = timed(repeats, result.dendrogram.to_newick)
+    layers["load_csv"], data = timed(lambda: load_csv(csv_path, label_column="label"))
+    layers["run"], result = timed(lambda: run(data))
+    layers["to_json"], _ = timed(result.dendrogram.to_json)
+    layers["to_newick"], _ = timed(result.dendrogram.to_newick)
     argv = ["cluster", str(csv_path), "--label-column", "label", "--format", "json",
             "--out", str(out / "clusters.json"), "--dendrogram-out", str(out / "dendrogram.json"),
             "--newick-out", str(out / "tree.nwk"), "--trace-out", str(out / "trace.json")]
     with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stderr(devnull):
-        layers["cli_cluster"], status = timed(repeats, lambda: cli.main(argv))  # its manifest goes to stderr
+        layers["cli_cluster"], status = timed(lambda: cli.main(argv))  # its manifest goes to stderr
     if status != 0:
         raise RuntimeError(f"mbclust cluster exited with status {status} at n={n}")
     return {
@@ -119,24 +122,19 @@ def bench_size(n: int, seed: int, repeats: int, work: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[2500, 20000, 100000])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.repeats < 1 or min(args.sizes) < 1:
-        parser.error("sizes and repeats must be positive")
 
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        for n in sorted(args.sizes):
-            results.append(bench_size(n, args.seed, args.repeats, Path(tmp)))
+        for n in SIZES:
+            results.append(bench_size(n, Path(tmp)))
             layers = results[-1]["layers"]
             print(f"n={n}: " + ", ".join(f"{name} {v['median_s']:.4f} s" for name, v in layers.items())
                   + f", peak RSS {results[-1]['peak_rss_mb_so_far']} MB", file=sys.stderr)
     report = {
         "data": {"features": FEATURES, "categories": CATEGORIES, "prototypes": PROTOTYPES, "noise": NOISE,
-                 "seed": args.seed},
-        "repeats": args.repeats,
+                 "seed": SEED},
+        "repeats": REPEATS,
         "machine": {"platform": platform.platform(), "processor": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__, "mbclust": mbclust.__version__},
         "sizes": results,

@@ -238,7 +238,7 @@ def _profile_groups(state: ClusteringState) -> tuple[np.ndarray, np.ndarray]:
     its ranks whenever the next product would pass 2**62, so any int64
     codes pack without overflow.
     """
-    profiles = state.profiles
+    profiles = as_codes(state.profiles)
     e = len(profiles)
     key, card = np.zeros(e, dtype=np.int64), 1
     for column, low, high in zip(profiles.T, profiles.min(axis=0).tolist(), profiles.max(axis=0).tolist()):
@@ -442,9 +442,6 @@ class Dendrogram:
         children)``, with the children's node ids in entity order."""
         nodes, next_node, formed = np.arange(self.n_leaves), self.n_leaves, [()]
         for old, new in zip(self.labels, self.labels[1:]):
-            if len(nodes) == new.max(initial=-1) + 1:  # as many entities as before: the same partition
-                formed.append(())
-                continue
             # New entity of each old one; the old entities of each new one,
             # in entity order, are a run of ``children``.
             new_of_old = np.empty(len(nodes), dtype=np.intp)

@@ -26,14 +26,17 @@ _MISSING_LABEL = "?"
 def as_codes(data) -> np.ndarray:
     """The int64 (n, m) code matrix of a :class:`Dataset` or a 2-D array-like.
 
-    Float input must hold integers: ``ValueError`` names the first cell
-    that is fractional, not finite or outside int64, instead of casting it.
+    Float input, also floats in an object array, must hold integers: ``ValueError`` names
+    the first cell that is fractional, not finite or outside int64, instead of casting it.
     """
     codes = np.asarray(getattr(data, "codes_matrix", data))
+    if codes.dtype.kind == "O":  # e.g. a mixed-type frame: let numpy type the cells, so floats get checked
+        codes = np.array(codes.tolist())
     if codes.ndim != 2:
         raise ValueError("data must form a 2-D code matrix")
-    if codes.dtype.kind == "f":
-        bad = (codes != np.floor(codes)) | (codes < -2.0**63) | (codes >= 2.0**63)
+    if codes.dtype.kind in "fO":
+        real = codes.astype(np.float64, copy=False)
+        bad = (real != np.floor(real)) | (real < -2.0**63) | (real >= 2.0**63)
         if bad.any():
             row, col = np.argwhere(bad)[0].tolist()
             raise ValueError(f"cell ({row}, {col}) holds {codes[row, col]}, which is not an integer code")

@@ -86,7 +86,9 @@ FRACTIONAL = np.array([[0.2, 1], [0.7, 1], [1.0, 0], [1.9, 0]])
     (np.array([[0, 1], [1, np.nan]]), r"\(1, 1\) holds nan"),
     (np.array([[0, -np.inf], [1, 0]]), r"\(0, 1\) holds -inf"),
     (np.array([[0, 1], [2.0**63, 0]]), r"\(1, 0\) holds 9.22\d*e\+18"),
-], ids=["fractional", "nan", "-inf", "2**63"])
+    (FRACTIONAL.astype(object), r"\(0, 0\) holds 0.2"),  # e.g. np.asarray of a mixed-type frame
+    (np.array([[0, 1], [1, 0.7]], dtype=object), r"\(1, 1\) holds 0.7"),
+], ids=["fractional", "nan", "-inf", "2**63", "object", "object-mixed"])
 def test_float_codes_must_be_integers(entry, codes, cell):
     # A cast would make 0.2 and 0.7 one category and NaN a huge negative code.
     with pytest.raises(ValueError, match=cell + ", which is not an integer code"):
@@ -98,6 +100,7 @@ def test_integral_floats_and_bools_are_codes():
     assert run(integral).partition == run(integral.astype(np.int64)).partition == ((0, 1), (2, 3))
     assert run(np.array([[True, False], [True, False], [False, True]])).partition == ((0, 1), (2,))
     assert np.array_equal(Dataset.from_codes([[-2.0**63, 1.0]]).codes_matrix, [[0, 0]])
+    assert run(np.floor(FRACTIONAL).astype(object)).partition == ((0, 1), (2, 3))
 
 
 def test_constructor_validation():

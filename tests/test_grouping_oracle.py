@@ -10,7 +10,7 @@ extremes. The reference finds the groups with
 ``np.unique(profiles, axis=0)`` and applies the merge and freeze rules
 entity by entity. Every state is tried with its profiles row-major,
 feature-major (the loop's own layout) and as a column slice of a wider
-matrix, and with no frozen entity, the entities that the containment
+matrix, and feature-major as uint64, and with no frozen entity, the entities that the containment
 rule freezes, and a drawn set of frozen entities.
 """
 
@@ -86,11 +86,13 @@ def reference_merge(state):
 
 
 def layouts(profiles):
-    """The same profiles row-major, feature-major and as every other
-    column of a wider matrix."""
+    """The same profiles row-major, feature-major, as every other column
+    of a wider matrix, and feature-major with the same bits as uint64
+    (which the key must not add to its int64 in place unconverted)."""
     wide = np.zeros((len(profiles), 2 * profiles.shape[1]), dtype=profiles.dtype)
     wide[:, 1::2] = profiles
-    return np.ascontiguousarray(profiles), np.asfortranarray(profiles), wide[:, 1::2]
+    fortran = np.asfortranarray(profiles)
+    return np.ascontiguousarray(profiles), fortran, wide[:, 1::2], fortran.view(np.uint64)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,

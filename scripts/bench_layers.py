@@ -7,6 +7,8 @@ column replaced by another category, plus a ``label`` column), then times
 in this process, with ``time.perf_counter``:
 
 - ``load_csv``: reading the CSV into a ``Dataset``;
+- ``importance``: ``importance_report`` over the all-singleton profiles
+  (one entity per object), as the loop's first round computes it;
 - ``run``: the clustering loop under the default configuration;
 - ``to_json`` and ``to_newick``: the dendrogram writers, on that result;
 - ``cli_cluster``: ``mbclust cluster`` as a whole, with ``--format json``
@@ -46,7 +48,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import mbclust  # noqa: E402
-from mbclust import cli, load_csv, run  # noqa: E402
+from mbclust import cli, importance_report, load_csv, run  # noqa: E402
 
 FEATURES = 20
 CATEGORIES = 3
@@ -100,6 +102,7 @@ def bench_size(n: int, work: Path) -> dict:
     out.mkdir()
     layers = {}
     layers["load_csv"], data = timed(lambda: load_csv(csv_path, label_column="label"))
+    layers["importance"], _ = timed(lambda: importance_report(data))
     layers["run"], result = timed(lambda: run(data))
     layers["to_json"], _ = timed(result.dendrogram.to_json)
     layers["to_newick"], _ = timed(result.dendrogram.to_newick)

@@ -33,7 +33,7 @@ from .core import (
     _nested_json,
     run,
 )
-from .dataset import MISSING_CATEGORY, MISSING_REJECT, load_csv
+from .dataset import MISSING_CATEGORY, MISSING_REJECT, _csv_records, load_csv
 from .errors import MbcError
 from .evaluation import contingency, misclassified, purity
 from .importance import finite_alpha, importance_report, pgp2_kept_counts
@@ -166,40 +166,33 @@ def _cmd_dendrogram(args) -> int:
     return 0
 
 
-def _rank_rows(names, numerators, denominators, values):
-    order = sorted(range(len(names)), key=lambda i: values[i], reverse=True)
-    return [
-        {
-            "feature": names[i],
-            "numerator": int(numerators[i]),
-            "denominator": int(denominators[i]),
-            "value": float(values[i]),
-            "exact": str(values[i]),
-        }
-        for i in order
-    ]
+_UNDEFINED = {
+    IMPORTANCE_PGP: "no feature has a repeated category; pgp is undefined",
+    IMPORTANCE_PPP: "every feature is constant; ppp is undefined",
+    "pgp2": "no pair exceeds the influence threshold; pgp2 is undefined",
+}
+
+
+def _rank_rows(names, numerators, denominator):
+    """One row per feature, largest share ``numerator / denominator`` first."""
+    values = [Fraction(v, denominator) for v in numerators]
+    return [{"feature": names[i], "numerator": numerators[i], "denominator": denominator,
+             "value": float(values[i]), "exact": str(values[i])}
+            for i in sorted(range(len(names)), key=values.__getitem__, reverse=True)]
 
 
 def _cmd_importance(args) -> int:
     alpha = finite_alpha(args.alpha)
     data = _load_dataset(args)
-    report = importance_report(data)
-    names = report.feature_names
     if args.measure == "pgp2":
-        pims, gim = pgp2_kept_counts(data, range(data.m), alpha)
-        if not gim:
-            raise MbcError("no pair exceeds the influence threshold; pgp2 is undefined")
-        rows = _rank_rows(names, pims, [gim] * data.m, [Fraction(p, gim) for p in pims])
-    elif args.measure == IMPORTANCE_PPP:
-        if report.ppp is None:
-            raise MbcError("every feature is constant; ppp is undefined")
-        total = sum(report.mismatch_pairs)
-        rows = _rank_rows(names, report.mismatch_pairs, [total] * data.m, report.ppp)
+        numerators, denominator = pgp2_kept_counts(data, range(data.m), alpha)
     else:
-        if report.pgp is None:
-            raise MbcError("no feature has a repeated category; pgp is undefined")
-        total = sum(report.match_pairs)
-        rows = _rank_rows(names, report.match_pairs, [total] * data.m, report.pgp)
+        report = importance_report(data)
+        numerators = report.match_pairs if args.measure == IMPORTANCE_PGP else report.mismatch_pairs
+        denominator = sum(numerators)
+    if not denominator:
+        raise MbcError(_UNDEFINED[args.measure])
+    rows = _rank_rows(data.feature_names, numerators, denominator)
 
     if args.format == "json":
         _write(args.out, json.dumps(rows, indent=2), "\n")
@@ -260,7 +253,7 @@ def _cmd_similarity(args) -> int:
 def _read_assignments(path: str) -> tuple[tuple[int, ...], ...]:
     clusters: dict[int, list[int]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csvmod.reader(fh)
+        reader = _csv_records(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["object", "cluster"]:
             raise MbcError(f"{path}: expected an assignments file with header object,cluster")

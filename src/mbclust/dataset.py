@@ -155,6 +155,16 @@ class Dataset:
         return f"Dataset(n={self.n}, m={self.m})"
 
 
+def _csv_records(fh, path):
+    """CSV records of ``fh``; one that csv rejects, e.g. for a field over its size limit, raises CsvError."""
+    rownum = 0
+    try:
+        for rownum, record in enumerate(csv.reader(fh), start=1):
+            yield record
+    except csv.Error as exc:
+        raise CsvError(f"{path}: row {rownum + 1}: {exc}") from None
+
+
 def load_csv(path, label_column: str | None = None, missing_policy: str = MISSING_REJECT) -> Dataset:
     """Load a categorical dataset from an RFC-4180 style CSV file.
 
@@ -178,7 +188,7 @@ def load_csv(path, label_column: str | None = None, missing_policy: str = MISSIN
     path = Path(path)
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:

@@ -14,9 +14,9 @@ Three rankings are provided:
   pass over cell-budgeted blocks of entity pairs, without a match-count
   matrix; the clustering loop's tie-break and ``importance`` use it.
 
-All scores are :class:`fractions.Fraction` so that equality of
-importances is decidable exactly; ties drive the clustering loop's
-termination and must not depend on float rounding.
+The clustering loop decides ties and termination on integer pair
+counts, never on floats. Shares are exact :class:`fractions.Fraction`
+values where reported: the trace, ``importance``, :func:`pgp`, :func:`ppp`.
 """
 
 from __future__ import annotations
@@ -56,26 +56,33 @@ def match_pair_counts(codes) -> np.ndarray:
     return out
 
 
+def _shares(counts) -> tuple[Fraction, ...] | None:
+    """Each count over their sum, or ``None`` when the sum is zero."""
+    total = sum(counts)
+    return tuple(Fraction(v, total) for v in counts) if total else None
+
+
 @dataclass(frozen=True)
 class ImportanceReport:
-    """Per-feature importance numbers over one entity population.
+    """Per-feature pair counts over one entity population.
 
     ``match_pairs[l]`` is the ordered matching-pair count of feature
-    ``l`` and ``mismatch_pairs[l]`` its complement to ``e(e-1)``.
-    ``pgp`` and ``ppp`` are the normalized shares, or ``None`` when the
-    corresponding denominator is zero (no information to rank on).
+    ``l`` and ``mismatch_pairs[l]`` its complement to ``e(e-1)``; the
+    clustering loop reads only these. ``pgp`` and ``ppp`` are their
+    exact shares, built on each read, or ``None`` when the
+    corresponding sum is zero (no information to rank on).
     """
 
     feature_names: tuple[str, ...]
     n_entities: int
     match_pairs: tuple[int, ...]
     mismatch_pairs: tuple[int, ...]
-    pgp: tuple[Fraction, ...] | None
-    ppp: tuple[Fraction, ...] | None
+    pgp = property(lambda self: _shares(self.match_pairs))
+    ppp = property(lambda self: _shares(self.mismatch_pairs))
 
 
 def importance_report(data, feature_names: Sequence[str] | None = None) -> ImportanceReport:
-    """Compute both importance rankings over a dataset or code matrix."""
+    """Count matching and mismatching pairs per feature over a dataset or code matrix."""
     codes = as_codes(data)
     e, f = codes.shape
     if feature_names is None:
@@ -83,18 +90,8 @@ def importance_report(data, feature_names: Sequence[str] | None = None) -> Impor
     feature_names = tuple(feature_names)
     if len(feature_names) != f:
         raise ValueError(f"expected {f} feature names, got {len(feature_names)}")
-
     match = match_pair_counts(codes).tolist()
-    mismatch = [e * (e - 1) - v for v in match]
-    match_total, mismatch_total = sum(match), sum(mismatch)
-    return ImportanceReport(
-        feature_names=feature_names,
-        n_entities=e,
-        match_pairs=tuple(match),
-        mismatch_pairs=tuple(mismatch),
-        pgp=tuple(Fraction(v, match_total) for v in match) if match_total else None,
-        ppp=tuple(Fraction(v, mismatch_total) for v in mismatch) if mismatch_total else None,
-    )
+    return ImportanceReport(feature_names, e, tuple(match), tuple(e * (e - 1) - v for v in match))
 
 
 def pgp(data) -> tuple[Fraction, ...]:
@@ -103,10 +100,10 @@ def pgp(data) -> tuple[Fraction, ...]:
     Raises :class:`DegenerateDataError` when no feature has a repeated
     category (nothing matches, so the shares are undefined).
     """
-    report = importance_report(data)
-    if report.pgp is None:
+    shares = importance_report(data).pgp
+    if shares is None:
         raise DegenerateDataError("no matching pairs in any feature; matching-pair shares are undefined")
-    return report.pgp
+    return shares
 
 
 def ppp(data) -> tuple[Fraction, ...]:
@@ -115,10 +112,10 @@ def ppp(data) -> tuple[Fraction, ...]:
     Raises :class:`DegenerateDataError` when every feature is constant
     (nothing mismatches, so the shares are undefined).
     """
-    report = importance_report(data)
-    if report.ppp is None:
+    shares = importance_report(data).ppp
+    if shares is None:
         raise DegenerateDataError("no mismatching pairs in any feature; mismatching-pair shares are undefined")
-    return report.ppp
+    return shares
 
 
 def finite_alpha(alpha) -> float:

@@ -500,6 +500,28 @@ def test_eval_bad_assignments_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_field_over_csv_size_limit_is_data_error(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("object,cluster\n0," + "1" * 131073 + "\n")
+    for argv in (["cluster", str(big)], ["eval", LABELED, "--labels", "group", "--assignments", str(big)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {big}: row 2: field larger than field limit")
+
+
+@pytest.mark.parametrize("text, measure, alpha, message", [
+    ("A,B\nx,u\ny,v\nz,w\n", "pgp", "0", "no feature has a repeated category; pgp is undefined"),
+    ("A,B\nx,u\nx,u\nx,u\n", "ppp", "0", "every feature is constant; ppp is undefined"),
+    ("A,B\nx,u\nx,u\ny,v\n", "pgp2", "2", "no pair exceeds the influence threshold; pgp2 is undefined"),
+])
+def test_importance_undefined_measure_is_data_error(tmp_path, capsys, text, measure, alpha, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert main(["importance", str(path), "--measure", measure, f"--alpha={alpha}"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_missing_file_is_data_error(capsys):
     assert main(["cluster", "no-such-file.csv"]) == 1
     _, err = capsys.readouterr()

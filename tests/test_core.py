@@ -344,6 +344,53 @@ def test_run_trace_reports(dataset_a):
     assert payload["pgp"][0] == "21/71"
 
 
+# The pgp and ppp strings of each trace record on dataset_a, recorded when
+# every importance report held its shares as Fractions.
+TRACE_SHARES_A = {
+    ("pgp", "drop-all"): [
+        ("21/71 21/71 10/71 10/71 9/71", "12/77 12/77 5/22 5/22 18/77"),
+        ("13/36 13/36 5/36 5/36", "15/76 15/76 23/76 23/76"),
+        ("1/2 1/2", "1/2 1/2"),
+    ],
+    ("pgp", "pgp2"): [
+        ("21/71 21/71 10/71 10/71 9/71", "12/77 12/77 5/22 5/22 18/77"),
+        ("13/36 13/36 5/36 5/36", "15/76 15/76 23/76 23/76"),
+        ("1/2 1/2 0", "1/4 1/4 1/2"),
+        ("1/2 1/2", "1/2 1/2"),
+    ],
+    ("ppp", "drop-all"): [
+        ("21/71 21/71 10/71 10/71 9/71", "12/77 12/77 5/22 5/22 18/77"),
+        ("5/14 5/14 2/7", "23/70 23/70 12/35"),
+        ("1", "1"),
+    ],
+    ("ppp", "pgp2"): [
+        ("21/71 21/71 10/71 10/71 9/71", "12/77 12/77 5/22 5/22 18/77"),
+        ("13/27 5/27 5/27 4/27", "3/17 23/85 23/85 24/85"),
+        ("5/14 5/14 2/7", "23/70 23/70 12/35"),
+        ("5/9 4/9", "23/47 24/47"),
+        ("1", "1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("measure, ties", sorted(TRACE_SHARES_A))
+def test_run_builds_no_fraction(dataset_a, monkeypatch, measure, ties):
+    """The loop decides on integer pair counts; shares are built only when read."""
+    def no_fraction(*args):
+        raise AssertionError("run() built a Fraction")
+
+    monkeypatch.setattr(mbclust.importance, "Fraction", no_fraction)
+    trace = run(dataset_a, MbcConfig(importance_measure=measure, tie_policy=ties)).trace
+    monkeypatch.undo()
+    shares = [(" ".join(d["pgp"]), " ".join(d["ppp"])) for d in (rec.to_dict() for rec in trace)]
+    assert shares == TRACE_SHARES_A[measure, ties]
+
+
+def test_trace_share_of_a_zero_sum_is_null():
+    payload = run([[0, 0], [0, 0]]).trace[0].to_dict()
+    assert payload["pgp"] == ["1/2", "1/2"] and payload["ppp"] is None
+
+
 def test_run_without_containment(dataset_a):
     result = run(dataset_a, MbcConfig(anti_merge=False))
     assert result.stop_reason == STOP_ALL_CLUSTERED

@@ -188,6 +188,15 @@ def test_csv_structural_errors(tmp_path):
         load_csv(dupes)
 
 
+@pytest.mark.parametrize("row", [1, 3])
+def test_csv_field_over_size_limit(tmp_path, row):
+    big = "x" * 131073  # one past csv.field_size_limit()'s default
+    path = tmp_path / "big.csv"
+    path.write_text(f"A,{big}\nx,y\n" if row == 1 else f"A,B\nx,y\nx,{big}\n")
+    with pytest.raises(CsvError, match=rf"big\.csv: row {row}: field larger than field limit"):
+        load_csv(path)
+
+
 def test_csv_unknown_label_column(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("A,B\nx,y\n")

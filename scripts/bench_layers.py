@@ -18,9 +18,16 @@ in this process, with ``time.perf_counter``:
 Each layer runs ``REPEATS`` (3) times; the minimum and the median are kept.
 After each size the script reads ``VmHWM`` (the peak resident set size of
 this process) from ``/proc/self/status``; sizes run in ascending order, so
-each reading is the peak up to and including that size. The results, with
-the machine they were taken on, go to the JSON file named on the command
-line.
+each reading is the peak up to and including that size.
+
+After the sizes, the script times the quadratic ``mbclust similarity``
+command with ``lin`` and with ``goodall`` on a planted CSV of n = 2500
+(``SIMILARITY_N``), writing CSV output to a temporary file. Each run
+takes a fresh child process, which reports the seconds of the command
+and its own ``VmHWM``, so that the reading is the command's peak alone;
+``ru_maxrss`` would not do, as Linux carries a forked parent's peak
+across ``exec``. The results, with the machine they were taken on, go
+to the JSON file named on the command line.
 
 Usage::
 
@@ -38,6 +45,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -55,6 +63,8 @@ CATEGORIES = 3
 PROTOTYPES = 20
 NOISE = 0.15
 SIZES = (2500, 20000, 100000)
+SIMILARITY_N = 2500
+SIMILARITY_MEASURES = ("lin", "goodall")
 REPEATS = 3
 SEED = 0
 
@@ -83,6 +93,46 @@ def peak_rss_mb() -> float | None:
     except OSError:
         pass
     return None
+
+
+# Run in a fresh interpreter by similarity_child, with this script's folder
+# as its argument: one `mbclust similarity` command, then its seconds and the
+# child's own peak RSS as JSON.
+_SIMILARITY_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import bench_layers
+started = time.perf_counter()
+status = bench_layers.cli.main(sys.argv[2:])
+seconds = time.perf_counter() - started
+print(json.dumps({"status": status, "seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb()}))
+"""
+
+
+def similarity_child(csv_path: Path, measure: str, out: Path) -> dict:
+    """Seconds and peak RSS of ``mbclust similarity`` with CSV output, in a fresh process."""
+    argv = ["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", _SIMILARITY_CHILD, str(Path(__file__).resolve().parent), *argv],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    if result.pop("status") != 0:
+        raise RuntimeError(f"mbclust similarity --measure {measure} failed: {proc.stderr.strip()}")
+    return result
+
+
+def bench_similarity(work: Path) -> dict:
+    """``REPEATS`` child runs per measure on planted data of ``SIMILARITY_N`` objects:
+    minimum and median seconds, largest peak."""
+    csv_path = work / f"similarity_{SIMILARITY_N}.csv"
+    planted_csv(csv_path, SIMILARITY_N, SEED)
+    layers = {}
+    for measure in SIMILARITY_MEASURES:
+        runs = [similarity_child(csv_path, measure, work / f"similarity_{measure}.csv") for _ in range(REPEATS)]
+        seconds = [r["seconds"] for r in runs]
+        peaks = [r["peak_rss_mb"] for r in runs if r["peak_rss_mb"] is not None]
+        layers[f"cli_similarity_{measure}"] = {"min_s": min(seconds), "median_s": statistics.median(seconds),
+                                               "peak_rss_mb": max(peaks) if peaks else None}
+    return {"n": SIMILARITY_N, "layers": layers}
 
 
 def timed(operation) -> tuple[dict, object]:
@@ -134,6 +184,9 @@ def main(argv=None) -> int:
             layers = results[-1]["layers"]
             print(f"n={n}: " + ", ".join(f"{name} {v['median_s']:.4f} s" for name, v in layers.items())
                   + f", peak RSS {results[-1]['peak_rss_mb_so_far']} MB", file=sys.stderr)
+        similarity = bench_similarity(Path(tmp))
+        for name, v in similarity["layers"].items():
+            print(f"n={SIMILARITY_N}: {name} {v['median_s']:.4f} s, peak RSS {v['peak_rss_mb']} MB", file=sys.stderr)
     report = {
         "data": {"features": FEATURES, "categories": CATEGORIES, "prototypes": PROTOTYPES, "noise": NOISE,
                  "seed": SEED},
@@ -141,6 +194,7 @@ def main(argv=None) -> int:
         "machine": {"platform": platform.platform(), "processor": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__, "mbclust": mbclust.__version__},
         "sizes": results,
+        "similarity": similarity,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0

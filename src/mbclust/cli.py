@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import similarity
 from .core import (
     IMPORTANCE_PGP,
     IMPORTANCE_PPP,
@@ -37,7 +38,6 @@ from .dataset import MISSING_CATEGORY, MISSING_REJECT, _csv_records, load_csv
 from .errors import MbcError
 from .evaluation import contingency, misclassified, purity
 from .importance import finite_alpha, importance_report, pgp2_kept_counts
-from .similarity import pairwise_matrix
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser, with_label: bool = True) -> None:
@@ -204,42 +204,46 @@ def _cmd_importance(args) -> int:
     return 0
 
 
-# Cells of the block of rows whose text is looked up at once; bounds the
-# index arrays of the similarity writer to this many entries.
-_BLOCK_CELLS = 1 << 17
-
-
 def _cmd_similarity(args) -> int:
-    """Write the matrix one row at a time, formatting each distinct cell once.
+    """Write the matrix one block of rows at a time, formatting each distinct cell of a block once.
 
     Cells are keyed by bit pattern, so ``-0.0`` keeps its sign. JSON
     floats use ``repr``, which is what ``json.dumps`` writes for them.
-    Each block of rows finds its cells' text through its own distinct
-    keys, so no n x n index array is held. The matrix and the text of
-    every distinct cell are ready before ``--out`` is opened, so a
-    failing measure writes nothing.
+    ``pairwise_blocks`` raises every error of the measure before
+    ``--out`` is opened, so a failing measure writes nothing; then each
+    block is computed, formatted, written and dropped in turn.
     """
-    matrix = pairwise_matrix(_load_dataset(args), args.measure)
-    n = len(matrix)
-    integral = matrix.dtype == np.int64
-    keys = matrix if integral else matrix.view(np.uint64)
-    # A sort, not np.unique: without an inverse, numpy >= 2.3 hashes,
-    # which is slower when most cells are distinct.
-    ordered = np.sort(keys, axis=None)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    del ordered
-    if integral:
-        text = np.frompyfunc(str, 1, 1)(distinct)
-    else:
-        cell = repr if args.format == "json" else "{:.6f}".format
-        text = np.frompyfunc(cell, 1, 1)(distinct.view(np.float64))
+    data = _load_dataset(args)
+    blocks = similarity.pairwise_blocks(data, args.measure)
+    n = data.n
+    cell = str if args.measure == "cm" else repr if args.format == "json" else "{:.6f}".format
+    formatted = np.frompyfunc(cell, 1, 1)
     sep = ", " if args.format == "json" else ","
 
     def rows():
-        step = max(1, _BLOCK_CELLS // n)
-        for a in range(0, n, step):
-            local, inverse = np.unique(keys[a:a + step], return_inverse=True)
-            for cells in text[np.searchsorted(distinct, local)][inverse.reshape(-1, n)]:
+        # The text of the cell values met so far, sorted by key, kept while another block
+        # follows and it holds at most one block's cells. Where values recur from block to
+        # block, as when the data have few distinct rows, each is then formatted once.
+        nothing = np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
+        (seen, seen_text), room, done = nothing, similarity._BLOCK_CELLS, 0
+        for block in blocks:
+            keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            at = np.searchsorted(seen, keys)
+            known = at < len(seen)
+            known[known] = seen[at[known]] == keys[known]
+            new = ~known
+            if known.any():
+                text = np.empty(len(keys), dtype=object)
+                text[known] = seen_text[at[known]]
+                text[new] = formatted(keys[new].view(block.dtype))
+            else:
+                text = formatted(keys.view(block.dtype))
+            done += len(block)
+            if done < n and len(seen) + np.count_nonzero(new) <= room:
+                seen, seen_text = np.insert(seen, at[new], keys[new]), np.insert(seen_text, at[new], text[new])
+            else:  # too many values to keep, or the last block: from now on each block formats its own
+                room, (seen, seen_text) = 0, nothing
+            for cells in text[inverse.reshape(-1, n)]:
                 yield sep.join(cells.tolist())
 
     if args.format == "json":
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", help="print the full pairwise similarity matrix")
     _add_dataset_args(p)
-    p.add_argument("--measure", choices=["cm", "overlap", "goodall", "lin"], default="cm")
+    p.add_argument("--measure", choices=similarity.MEASURES, default="cm")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_similarity)

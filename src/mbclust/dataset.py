@@ -156,13 +156,17 @@ class Dataset:
 
 
 def _csv_records(fh, path):
-    """CSV records of ``fh``; one that csv rejects, e.g. for a field over its size limit, raises CsvError."""
+    """CSV records of ``fh``; one that csv rejects, e.g. for a field over its size limit, or bytes
+    that are not UTF-8 raise CsvError naming ``path``."""
     rownum = 0
     try:
         for rownum, record in enumerate(csv.reader(fh), start=1):
             yield record
     except csv.Error as exc:
         raise CsvError(f"{path}: row {rownum + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead in chunks, so its byte position locates nothing in the file
+        raise CsvError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_csv(path, label_column: str | None = None, missing_policy: str = MISSING_REJECT) -> Dataset:

@@ -13,11 +13,13 @@ Pairwise similarity is kept in two forms:
   objects in ``[0, 1]``, weighting matches uniformly, by rarity, or by
   information content respectively.
 
-:func:`pairwise_matrix` scores every pair of a dataset at once under any
-of these measures, or as raw match counts. It makes one pass over the
-features, looking each feature's terms up in small tables indexed by
-category or category frequency, and gives the same values, bit for
-bit, as the single-pair functions.
+:func:`pairwise_blocks` scores every pair of a dataset under any of these
+measures, or as raw match counts, one block of rows at a time; each
+block adds the features in order, gathering each feature's terms from
+small tables indexed by category frequency, and holds about
+``_BLOCK_CELLS`` cells whatever n is. :func:`pairwise_matrix`
+fills the square matrix from those blocks. Both give the same values,
+bit for bit, as the single-pair functions.
 """
 
 from __future__ import annotations
@@ -175,78 +177,120 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
     return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta - len(drop))
 
 
-def _lin_numerator(column: np.ndarray, counts: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """Write one feature's :func:`lin` numerator terms of every pair into ``out``.
+# Cells of one block of rows of a pairwise matrix: the unit in which
+# pairwise_blocks computes and the similarity command formats and writes,
+# and the most formatted cell values the command keeps across blocks.
+_BLOCK_CELLS = 1 << 17
 
-    Returns the log relative frequency of each object's category. The
-    terms use ``math.log`` and the same float expressions as :func:`lin`,
-    so sums of them are bit-identical to its sums. A mismatch term
-    depends on the two categories only through their frequencies, so
-    its log is taken once per pair of distinct frequencies and gathered
-    per object pair; the match term is then written where the codes
-    agree. An ID-like feature, every object its own category, takes two
-    logs.
+MEASURES = ("cm", "overlap", "goodall", "lin")
+
+
+class _Feature:
+    """One feature's terms of every pair, from tables indexed by category frequency.
+
+    Terms depend on the categories only through their frequencies, so
+    each ``table`` holds one term per pair of distinct frequencies, built
+    with ``math.log`` and the float expressions of :func:`goodall` and
+    :func:`lin`; sums of the terms are bit-identical to their sums. The
+    term of objects ``i`` and ``j`` is ``table[level[i], level[j]]``, or
+    ``match[level[i]]`` where their categories agree, when ``match`` is
+    given. Lin has two ``(table, match)`` sources, numerator and
+    denominator; the other measures have one, where a mismatch scores 0.
+    Nothing held grows with the square of n or of the category count.
     """
-    freqs, group = np.unique(counts[column], return_inverse=True)
-    p = [fc / n for fc in freqs.tolist()]
-    log_p = np.array([math.log(q) for q in p])
-    mismatch = np.empty((len(p), len(p)))
-    for u in range(len(p)):
-        for v in range(u, len(p)):
-            mismatch[u, v] = mismatch[v, u] = 2.0 * math.log(p[u] + p[v])
-    np.take(mismatch[group], group, axis=1, out=out, mode="clip")  # in range; "clip" skips a buffer
-    log_p = log_p[group]
-    np.copyto(out, (2.0 * log_p)[:, None], where=column[:, None] == column[None, :])
-    return log_p
+
+    def __init__(self, column: np.ndarray, counts: np.ndarray, n: int, measure: str):
+        categories, self.category = np.unique(column, return_inverse=True)
+        freqs, self.group = np.unique(counts[categories], return_inverse=True)  # each category's frequency group
+        self.level = self.group[self.category]
+        if measure != "lin":
+            if measure == "goodall":
+                weight = np.array([1.0 - (fc * (fc - 1)) / (n * (n - 1)) for fc in freqs.tolist()])
+            else:
+                weight = np.ones(len(freqs), dtype=np.int64)
+            self.sources = [(np.zeros((len(freqs), len(freqs)), dtype=weight.dtype), weight)]
+            return
+        p = [fc / n for fc in freqs.tolist()]
+        log_p = np.array([math.log(q) for q in p])
+        mismatch = np.empty((len(p), len(p)))
+        for u in range(len(p)):
+            for v in range(u, len(p)):
+                mismatch[u, v] = mismatch[v, u] = 2.0 * math.log(p[u] + p[v])
+        self.sources = [(mismatch, 2.0 * log_p), (log_p[:, None] + log_p[None, :], None)]
+
+    def gather(self, table: np.ndarray, match, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Write the terms of rows ``a <= i < b`` against every ``j`` into ``out``.
+
+        With no more categories than rows, a k x k table by category (match
+        terms on its diagonal) gives each category's terms against every
+        object, and those rows are copied; otherwise each row's terms
+        against every category are laid out and gathered cell by cell.
+        Either way nothing larger than one block is built.
+        """
+        category = self.category
+        if len(self.group) <= b - a:
+            by_category = table[np.ix_(self.group, self.group)]
+            if match is not None:
+                np.fill_diagonal(by_category, match[self.group])
+            rows = np.take(by_category, category, axis=1)
+            return np.take(rows, category[a:b], axis=0, out=out, mode="clip")  # in range; "clip" skips a buffer
+        cells = np.take(table[self.level[a:b]], self.group, axis=1)
+        if match is not None:
+            cells[np.arange(b - a), category[a:b]] = match[self.level[a:b]]
+        return np.take(cells, category, axis=1, out=out, mode="clip")
+
+
+def pairwise_blocks(data, measure: str):
+    """The rows of :func:`pairwise_matrix`, one new array per block, top to bottom.
+
+    Each block scores rows ``a..b`` against all n objects, about
+    ``_BLOCK_CELLS`` cells (at least one row), adding the features in
+    order. Every error of the measure is raised by this call, before the
+    first block is computed.
+    """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    n, m = data.n, data.m
+    if measure == "goodall" and n < 2:
+        raise ValueError("goodall needs at least two objects for category frequencies")
+    if measure == "lin" and all(data.frequencies_for(f).max() == n for f in range(m)):
+        # then, and only then, every log is 0.0 and lin's denominator is zero for every pair
+        raise DegenerateDataError("every scored category is held by all objects; similarity is undefined")
+    codes = data.codes_matrix
+    features = [_Feature(codes[:, f], data.frequencies_for(f), n, measure) for f in range(m)]
+    dtype = np.int64 if measure in ("cm", "overlap") else np.float64
+
+    def blocks():
+        step = max(1, _BLOCK_CELLS // n)
+        for a in range(0, n, step):
+            b = min(n, a + step)
+            sums = [np.zeros((b - a, n), dtype=dtype) for _ in range(2 if measure == "lin" else 1)]
+            buf = np.empty((b - a, n), dtype=dtype)
+            for feature in features:
+                for total, (table, match) in zip(sums, feature.sources):
+                    total += feature.gather(table, match, a, b, out=buf)
+            if measure == "lin":
+                sums[0] /= sums[1]
+            yield sums[0] / m if measure in ("overlap", "goodall") else sums[0]
+
+    return blocks()
 
 
 def pairwise_matrix(data, measure: str) -> np.ndarray:
     """Full square similarity matrix of a dataset under a named measure.
 
     ``measure`` is one of ``cm`` (integer match counts), ``overlap``,
-    ``goodall`` or ``lin``. Intended for inspection and export, as by
-    the ``similarity`` command; the clustering loop needs neither this
-    matrix nor :class:`SimilarityMatrix`.
-
-    One pass over the features: each feature's term for every pair is
-    looked up in a small table built from the feature's category
-    frequencies (by category code for goodall, by category frequency
-    for lin), and added into the result in feature order. The tables
-    use the float expressions of :func:`goodall` and :func:`lin`, so
-    entry ``(i, j)`` equals the single-pair score of rows ``i`` and
-    ``j`` bit for bit, and the same errors are raised. Besides the
-    result, only lin's denominator, one temporary of the same size and
-    one boolean mask are held.
+    ``goodall`` or ``lin``. Intended for inspection and export; the
+    clustering loop needs neither this matrix nor
+    :class:`SimilarityMatrix`. The matrix is filled from the blocks of
+    :func:`pairwise_blocks`, so entry ``(i, j)`` equals the single-pair
+    score of rows ``i`` and ``j`` bit for bit, the same errors are
+    raised, and besides the result only one block and its temporaries
+    are held.
     """
-    if measure not in ("cm", "overlap", "goodall", "lin"):
-        raise ValueError(f"unknown measure {measure!r}")
-    n, m = data.n, data.m
-    if measure == "goodall" and n < 2:
-        raise ValueError("goodall needs at least two objects for category frequencies")
-    out = np.zeros((n, n), dtype=np.float64 if measure in ("goodall", "lin") else np.int64)
-    if measure == "lin":
-        den = np.zeros((n, n))
-        terms = np.empty((n, n))
-    codes = data.codes_matrix
-    for f in range(m):
-        column = codes[:, f]
-        if measure in ("cm", "overlap"):
-            out += column[:, None] == column[None, :]
-        elif measure == "goodall":
-            # a match on a category held by fc objects; mismatches add nothing
-            weight = np.array([1.0 - (fc * (fc - 1)) / (n * (n - 1)) for fc in data.frequencies_for(f).tolist()])
-            np.add(out, weight[column][:, None], out=out, where=column[:, None] == column[None, :])
-        else:
-            log_p = _lin_numerator(column, data.frequencies_for(f), n, out=terms)
-            out += terms
-            np.add(log_p[:, None], log_p[None, :], out=terms)
-            den += terms
-    if measure == "overlap":
-        return out / m
-    if measure == "lin":
-        if not den.all():
-            raise DegenerateDataError("every scored category is held by all objects; similarity is undefined")
-        out /= den
-    elif measure == "goodall":
-        out /= m
+    out = np.empty((data.n, data.n), dtype=np.int64 if measure == "cm" else np.float64)
+    a = 0
+    for block in pairwise_blocks(data, measure):
+        out[a:a + len(block)] = block
+        a += len(block)
     return out

@@ -510,6 +510,16 @@ def test_field_over_csv_size_limit_is_data_error(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith(f"error: {big}: row 2: field larger than field limit")
 
 
+def test_non_utf8_input_is_data_error_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"object,cluster\n0,1\n1,\xe91\n")
+    for argv in (["cluster", str(bad)], ["eval", LABELED, "--labels", "group", "--assignments", str(bad)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+
+
 @pytest.mark.parametrize("text, measure, alpha, message", [
     ("A,B\nx,u\ny,v\nz,w\n", "pgp", "0", "no feature has a repeated category; pgp is undefined"),
     ("A,B\nx,u\nx,u\nx,u\n", "ppp", "0", "every feature is constant; ppp is undefined"),

@@ -197,6 +197,16 @@ def test_csv_field_over_size_limit(tmp_path, row):
         load_csv(path)
 
 
+@pytest.mark.parametrize("offset", [3, 9000])
+def test_csv_not_utf8_names_the_file(tmp_path, offset):
+    path = tmp_path / "latin.csv"
+    text = b"A,B\n" + b"x,y\n" * (offset // 4)
+    path.write_bytes(text[:offset] + b"\xff" + text[offset:])
+    with pytest.raises(CsvError) as raised:
+        load_csv(path)
+    assert str(raised.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 def test_csv_unknown_label_column(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("A,B\nx,y\n")

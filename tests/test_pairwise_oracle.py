@@ -1,17 +1,23 @@
 """The square similarity matrices against the per-pair reference.
 
 ``pairwise_loop.pairwise_matrix`` scores every pair with the single-pair
-``goodall`` and ``lin``; ``mbclust.pairwise_matrix`` adds per-feature
-lookup tables. Every matrix must be bit-identical, and where the
-reference raises, the library must raise the same exception type with
-the same message.
+``goodall`` and ``lin``; ``mbclust.pairwise_matrix`` gathers per-feature
+lookup tables in blocks of rows. Every draw runs both layouts of the
+gather: in one block of all rows, where each category's row of terms is
+laid out and copied, and in blocks of one row, where each row's terms
+against every category are laid out and gathered cell by cell. Every
+matrix must be bit-identical, and where the reference raises, the
+library must raise the same exception type with the same message.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mbclust.similarity
 import pairwise_loop
 from mbclust import Dataset, pairwise_matrix
 from test_equivalence import code_matrices
@@ -53,16 +59,23 @@ def test_pairwise_matrix_with_id_column_equals_per_pair_loop(measure, codes, unu
     assert_equals_per_pair_loop(_dataset(codes, unused), measure)
 
 
+BLOCK_CELLS = (mbclust.similarity._BLOCK_CELLS, 1)
+
+
 def assert_equals_per_pair_loop(data, measure):
     try:
         expected = pairwise_loop.pairwise_matrix(data, measure)
     except Exception as exc:
-        with pytest.raises(Exception) as raised:
-            pairwise_matrix(data, measure)
-        assert type(raised.value) is type(exc)
-        assert str(raised.value) == str(exc)
-        return
-    actual = pairwise_matrix(data, measure)
-    assert actual.dtype == expected.dtype
-    assert np.array_equal(actual, expected)
-    assert actual.tobytes() == expected.tobytes()  # also the sign of every zero
+        expected = exc
+    for block_cells in BLOCK_CELLS:
+        with mock.patch.object(mbclust.similarity, "_BLOCK_CELLS", block_cells):
+            if isinstance(expected, Exception):
+                with pytest.raises(Exception) as raised:
+                    pairwise_matrix(data, measure)
+                assert type(raised.value) is type(expected)
+                assert str(raised.value) == str(expected)
+                continue
+            actual = pairwise_matrix(data, measure)
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+        assert actual.tobytes() == expected.tobytes()  # also the sign of every zero

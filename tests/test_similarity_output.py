@@ -1,18 +1,22 @@
 """The bytes of ``mbclust similarity`` against the renderer it replaced.
 
-The command writes the matrix row by row and formats each distinct cell
-value once, looking up the text of one block of rows at a time. Its
-output, on stdout and in ``--out``, must equal what it printed when it
-rendered ``matrix.tolist()`` with ``json.dumps`` or a ``csv.writer``,
+The command computes, formats and writes the matrix one block of rows
+at a time. It formats each distinct value of a block once, and keeps
+the text of values met in earlier blocks while they fit in one block.
+Its output, on stdout and in ``--out``, must equal what it printed when
+it rendered ``matrix.tolist()`` with ``json.dumps`` or a ``csv.writer``,
 cell by cell. Small category counts make values repeat, which is the
 case the per-value formatting has to get right; small block sizes make
-blocks of one row, of several rows and a short last block.
+blocks of one row, of several rows and a short last block, and
+overflow the kept text. The command's memory must not grow with the
+matrix.
 """
 
 import contextlib
 import csv
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import mbclust.cli
+import mbclust.similarity
 from mbclust import MbcError, load_csv
 from mbclust.cli import main
 from mbclust.similarity import pairwise_matrix
@@ -72,7 +76,7 @@ def code_matrices(draw):
 @pytest.mark.parametrize("measure", MEASURES)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(codes=code_matrices(), block_cells=st.sampled_from([1, 7, 40, mbclust.cli._BLOCK_CELLS]))
+@given(codes=code_matrices(), block_cells=st.sampled_from([1, 7, 40, mbclust.similarity._BLOCK_CELLS]))
 def test_output_equals_per_cell_renderer(tmp_path_factory, measure, fmt, sink, codes, block_cells):
     folder = tmp_path_factory.mktemp("similarity")
     data_path, out = folder / "data.csv", (folder / "matrix.txt" if sink == "out" else None)
@@ -81,7 +85,7 @@ def test_output_equals_per_cell_renderer(tmp_path_factory, measure, fmt, sink, c
         expected = render_by_cell(pairwise_matrix(load_csv(data_path), measure), measure, fmt)
     except (MbcError, ValueError):
         expected = None
-    with mock.patch.object(mbclust.cli, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(mbclust.similarity, "_BLOCK_CELLS", block_cells):
         code, stdout, written = run_similarity(data_path, measure, fmt, out)
     if expected is None:
         assert (code, stdout, written) == (1, "", None)
@@ -112,10 +116,27 @@ def test_negative_zero_keeps_its_sign(tmp_path, sink):
 @pytest.mark.parametrize("measure", MEASURES)
 def test_output_across_default_blocks(tmp_path, measure):
     n = 400
-    assert n * n > mbclust.cli._BLOCK_CELLS
+    assert n * n > mbclust.similarity._BLOCK_CELLS
     codes = np.random.default_rng(n).integers(0, 3, size=(n, 6))
     data_path, out = tmp_path / "data.csv", tmp_path / "matrix.txt"
     write_codes(data_path, codes)
     matrix = pairwise_matrix(load_csv(data_path), measure)
     for fmt in ("json", "csv"):
         assert run_similarity(data_path, measure, fmt, out) == (0, "", render_by_cell(matrix, measure, fmt))
+
+
+def test_memory_does_not_grow_with_the_matrix(tmp_path):
+    """Doubling n quadruples the matrix; the command's traced peak must not follow it."""
+    peaks = {}
+    for n in (800, 1600):
+        data_path, out = tmp_path / f"data{n}.csv", tmp_path / "matrix.json"
+        write_codes(data_path, np.random.default_rng(n).integers(0, 3, size=(n, 6)))
+        tracemalloc.start()
+        try:
+            code = main(["similarity", str(data_path), "--measure", "lin", "--format", "json", "--out", str(out)])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.stat().st_size > 8 * n * n
+        out.unlink()
+    assert peaks[1600] < 1.5 * peaks[800], peaks

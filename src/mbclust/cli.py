@@ -216,33 +216,32 @@ def _cmd_similarity(args) -> int:
     data = _load_dataset(args)
     blocks = similarity.pairwise_blocks(data, args.measure)
     n = data.n
-    cell = str if args.measure == "cm" else repr if args.format == "json" else "{:.6f}".format
-    formatted = np.frompyfunc(cell, 1, 1)
     sep = ", " if args.format == "json" else ","
 
     def rows():
-        # The text of the cell values met so far, sorted by key, kept while another block
-        # follows and it holds at most one block's cells. Where values recur from block to
-        # block, as when the data have few distinct rows, each is then formatted once.
+        # Where few distinct values recur from block to block (data with few distinct rows,
+        # or few features and categories), formatting each block's values anew made the
+        # command slower than the whole-matrix writer it replaced. So the text of the values
+        # met so far is kept, sorted by key, while another block follows and it holds at
+        # most one block's cells; once it would not, nothing more is kept.
         nothing = np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
-        (seen, seen_text), room, done = nothing, similarity._BLOCK_CELLS, 0
+        (seen, seen_text), keep, done = nothing, True, 0
         for block in blocks:
+            cell = str if block.dtype.kind == "i" else repr if args.format == "json" else "{:.6f}".format
             keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
             at = np.searchsorted(seen, keys)
             known = at < len(seen)
             known[known] = seen[at[known]] == keys[known]
             new = ~known
-            if known.any():
-                text = np.empty(len(keys), dtype=object)
-                text[known] = seen_text[at[known]]
-                text[new] = formatted(keys[new].view(block.dtype))
-            else:
-                text = formatted(keys.view(block.dtype))
+            text = np.empty(len(keys), dtype=object)
+            text[known] = seen_text[at[known]]
+            text[new] = np.frompyfunc(cell, 1, 1)(keys[new].view(block.dtype))
             done += len(block)
-            if done < n and len(seen) + np.count_nonzero(new) <= room:
+            keep = keep and done < n and len(seen) + np.count_nonzero(new) <= similarity._BLOCK_CELLS
+            if keep:
                 seen, seen_text = np.insert(seen, at[new], keys[new]), np.insert(seen_text, at[new], text[new])
-            else:  # too many values to keep, or the last block: from now on each block formats its own
-                room, (seen, seen_text) = 0, nothing
+            else:  # a view would keep the old text alive
+                seen, seen_text = nothing
             for cells in text[inverse.reshape(-1, n)]:
                 yield sep.join(cells.tolist())
 

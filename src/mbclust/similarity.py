@@ -191,18 +191,18 @@ class _Feature:
     Terms depend on the categories only through their frequencies, so
     each ``table`` holds one term per pair of distinct frequencies, built
     with ``math.log`` and the float expressions of :func:`goodall` and
-    :func:`lin`; sums of the terms are bit-identical to their sums. The
-    term of objects ``i`` and ``j`` is ``table[level[i], level[j]]``, or
-    ``match[level[i]]`` where their categories agree, when ``match`` is
-    given. Lin has two ``(table, match)`` sources, numerator and
-    denominator; the other measures have one, where a mismatch scores 0.
-    Nothing held grows with the square of n or of the category count.
+    :func:`lin`; sums of the terms are bit-identical to their sums. With
+    ``g = group[category]``, the term of objects ``i`` and ``j`` is
+    ``table[g[i], g[j]]``, or ``match[g[i]]`` where their categories
+    agree, when ``match`` is given. Lin has two ``(table, match)``
+    sources, numerator and denominator; the other measures have one,
+    where a mismatch scores 0. Nothing held grows with the square of n
+    or of the category count.
     """
 
     def __init__(self, column: np.ndarray, counts: np.ndarray, n: int, measure: str):
         categories, self.category = np.unique(column, return_inverse=True)
         freqs, self.group = np.unique(counts[categories], return_inverse=True)  # each category's frequency group
-        self.level = self.group[self.category]
         if measure != "lin":
             if measure == "goodall":
                 weight = np.array([1.0 - (fc * (fc - 1)) / (n * (n - 1)) for fc in freqs.tolist()])
@@ -221,23 +221,18 @@ class _Feature:
     def gather(self, table: np.ndarray, match, a: int, b: int, out: np.ndarray) -> np.ndarray:
         """Write the terms of rows ``a <= i < b`` against every ``j`` into ``out``.
 
-        With no more categories than rows, a k x k table by category (match
-        terms on its diagonal) gives each category's terms against every
-        object, and those rows are copied; otherwise each row's terms
-        against every category are laid out and gathered cell by cell.
-        Either way nothing larger than one block is built.
+        The u categories held in those rows get their terms against every
+        category (match terms where the two agree), then against every
+        object, and each row copies the row of its category. As u is at
+        most ``b - a``, nothing larger than one block is built, whatever
+        the number of categories.
         """
-        category = self.category
-        if len(self.group) <= b - a:
-            by_category = table[np.ix_(self.group, self.group)]
-            if match is not None:
-                np.fill_diagonal(by_category, match[self.group])
-            rows = np.take(by_category, category, axis=1)
-            return np.take(rows, category[a:b], axis=0, out=out, mode="clip")  # in range; "clip" skips a buffer
-        cells = np.take(table[self.level[a:b]], self.group, axis=1)
+        present, row_of = np.unique(self.category[a:b], return_inverse=True)
+        by_category = table[np.ix_(self.group[present], self.group)]
         if match is not None:
-            cells[np.arange(b - a), category[a:b]] = match[self.level[a:b]]
-        return np.take(cells, category, axis=1, out=out, mode="clip")
+            by_category[np.arange(len(present)), present] = match[self.group[present]]
+        rows = np.take(by_category, self.category, axis=1)
+        return np.take(rows, row_of, axis=0, out=out, mode="clip")  # in range; "clip" skips a buffer
 
 
 def pairwise_blocks(data, measure: str):
@@ -288,9 +283,10 @@ def pairwise_matrix(data, measure: str) -> np.ndarray:
     raised, and besides the result only one block and its temporaries
     are held.
     """
-    out = np.empty((data.n, data.n), dtype=np.int64 if measure == "cm" else np.float64)
-    a = 0
+    out, a = None, 0
     for block in pairwise_blocks(data, measure):
+        if out is None:
+            out = np.empty((data.n, data.n), dtype=block.dtype)
         out[a:a + len(block)] = block
         a += len(block)
     return out

@@ -2,11 +2,9 @@
 
 ``pairwise_loop.pairwise_matrix`` scores every pair with the single-pair
 ``goodall`` and ``lin``; ``mbclust.pairwise_matrix`` gathers per-feature
-lookup tables in blocks of rows. Every draw runs both layouts of the
-gather: in one block of all rows, where each category's row of terms is
-laid out and copied, and in blocks of one row, where each row's terms
-against every category are laid out and gathered cell by cell. Every
-matrix must be bit-identical, and where the reference raises, the
+lookup tables in blocks of rows. Every draw runs in one block of all
+rows, where every category is held in the block, and in blocks of one
+row, where one is. Every matrix must be bit-identical, and where the reference raises, the
 library must raise the same exception type with the same message.
 """
 

@@ -17,6 +17,7 @@ import contextlib
 import csv as csvmod
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -78,16 +79,24 @@ def _config(args) -> MbcConfig:
     ).validated()
 
 
-def _write(path: str | None, *pieces) -> None:
-    """Write text to the file at ``path``, or to stdout when it is None.
+def _write(*outputs: tuple[str | None, list]) -> None:
+    """Write each ``(path, pieces)`` output to the file at ``path``, or to stdout when it is None.
 
     A piece is a string or an iterable of strings, written as it is
-    consumed. Callers compute whatever can fail first, so a failing
-    command writes nothing.
+    consumed. Every path is opened before the first byte is written, and
+    two outputs may not name the same file, so an output that cannot be
+    opened fails the command before it writes anything. Callers compute
+    whatever else can fail first.
     """
-    with open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext(sys.stdout) as sink:
-        for piece in pieces:
-            sink.writelines([piece] if isinstance(piece, str) else piece)
+    files = [os.path.realpath(path) for path, _ in outputs if path is not None]
+    if len(set(files)) < len(files):
+        raise MbcError(f"two outputs name the same file: {max(files, key=files.count)}")
+    with contextlib.ExitStack() as stack:
+        sinks = [sys.stdout if path is None else stack.enter_context(open(path, "w", encoding="utf-8"))
+                 for path, _ in outputs]
+        for sink, (_, pieces) in zip(sinks, outputs):
+            for piece in pieces:
+                sink.writelines([piece] if isinstance(piece, str) else piece)
 
 
 def _table(rows: list[list[str]], right: bool) -> str:
@@ -129,19 +138,6 @@ def _cmd_cluster(args) -> int:
     result = run(data, config)
     seconds = time.perf_counter() - started
 
-    if args.format == "json":
-        _write(args.out, _cluster_json(result.labels, result.stop_reason, len(result.trace)), "\n")
-    else:
-        rows = enumerate(result.assignments.tolist())
-        _write(args.out, "object,cluster\n", "".join(f"{obj},{cid}\n" for obj, cid in rows))
-
-    if args.dendrogram_out:
-        _write(args.dendrogram_out, result.dendrogram.to_json(), "\n")
-    if args.newick_out:
-        _write(args.newick_out, result.dendrogram.to_newick(), "\n")
-    if args.trace_out:
-        _write(args.trace_out, json.dumps([rec.to_dict() for rec in result.trace], indent=2), "\n")
-
     manifest = {
         "input": args.csv,
         "config": _config_echo(config),
@@ -153,16 +149,24 @@ def _cmd_cluster(args) -> int:
         "final_clusters": result.dendrogram.level_sizes[result.level],
         "seconds": round(seconds, 6),
     }
+    if args.format == "json":
+        primary = [_cluster_json(result.labels, result.stop_reason, len(result.trace)), "\n"]
+    else:
+        rows = enumerate(result.assignments.tolist())
+        primary = ["object,cluster\n", "".join(f"{obj},{cid}\n" for obj, cid in rows)]
+    side = [(args.dendrogram_out, result.dendrogram.to_json), (args.newick_out, result.dendrogram.to_newick),
+            (args.trace_out, lambda: json.dumps([rec.to_dict() for rec in result.trace], indent=2)),
+            (args.manifest_out, lambda: json.dumps(manifest, indent=2))]
+    # Every text is computed here, before _write opens the first path.
+    _write((args.out, primary), *[(path, [text(), "\n"]) for path, text in side if path])
     print(json.dumps(manifest, separators=(",", ":")), file=sys.stderr)
-    if args.manifest_out:
-        _write(args.manifest_out, json.dumps(manifest, indent=2), "\n")
     return 0
 
 
 def _cmd_dendrogram(args) -> int:
     data = _load_dataset(args)
     dendrogram = run(data, _config(args)).dendrogram
-    _write(args.out, dendrogram.to_newick() if args.format == "newick" else dendrogram.to_json(), "\n")
+    _write((args.out, [dendrogram.to_newick() if args.format == "newick" else dendrogram.to_json(), "\n"]))
     return 0
 
 
@@ -195,12 +199,12 @@ def _cmd_importance(args) -> int:
     rows = _rank_rows(data.feature_names, numerators, denominator)
 
     if args.format == "json":
-        _write(args.out, json.dumps(rows, indent=2), "\n")
+        _write((args.out, [json.dumps(rows, indent=2), "\n"]))
         return 0
     cells = [["feature", "numerator", "denominator", "value"]] + [
         [r["feature"], str(r["numerator"]), str(r["denominator"]), f"{r['value']:.6f}"] for r in rows
     ]
-    _write(args.out, _table(cells, right=False))
+    _write((args.out, [_table(cells, right=False)]))
     return 0
 
 
@@ -246,14 +250,16 @@ def _cmd_similarity(args) -> int:
                 yield sep.join(cells.tolist())
 
     if args.format == "json":
-        _write(args.out, f'{{"measure": "{args.measure}", "n": {n}, "matrix": [',
-               (f"{', ' if i else ''}[{row}]" for i, row in enumerate(rows())), "]}\n")
+        pieces = [f'{{"measure": "{args.measure}", "n": {n}, "matrix": [',
+                  (f"{', ' if i else ''}[{row}]" for i, row in enumerate(rows())), "]}\n"]
     else:
-        _write(args.out, "".join(f",{j}" for j in range(n)), "\n", (f"{i},{row}\n" for i, row in enumerate(rows())))
+        pieces = ["".join(f",{j}" for j in range(n)), "\n", (f"{i},{row}\n" for i, row in enumerate(rows()))]
+    _write((args.out, pieces))
     return 0
 
 
-def _read_assignments(path: str) -> tuple[tuple[int, ...], ...]:
+def _read_assignments(path: str) -> dict[int, tuple[int, ...]]:
+    """The ascending members of each cluster id of an assignments file, ids ascending."""
     clusters: dict[int, list[int]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_records(fh, path)
@@ -266,18 +272,18 @@ def _read_assignments(path: str) -> tuple[tuple[int, ...], ...]:
             except (ValueError, IndexError):
                 raise MbcError(f"{path}: row {rownum}: expected two integers") from None
             clusters.setdefault(cid, []).append(obj)
-    return tuple(tuple(sorted(m)) for _, m in sorted(clusters.items()))
+    return {cid: tuple(sorted(m)) for cid, m in sorted(clusters.items())}
 
 
 def _cmd_eval(args) -> int:
     data = load_csv(args.csv, label_column=args.labels, missing_policy=args.missing)
     if args.assignments:
-        partition = _read_assignments(args.assignments)
+        clusters = _read_assignments(args.assignments)
     else:
-        partition = run(data, _config(args)).partition
-    table = contingency(partition, data.labels)
+        clusters = dict(enumerate(run(data, _config(args)).partition, start=1))
+    table = contingency(tuple(clusters.values()), data.labels)
 
-    cells = [["label"] + [str(c) for c in table.cluster_ids]] + [
+    cells = [["label"] + [str(c) for c in clusters]] + [
         [name] + [str(int(v)) for v in counts] for name, counts in zip(table.label_names, table.counts)
     ]
     if args.format == "csv":
@@ -293,7 +299,7 @@ def _cmd_eval(args) -> int:
         "clusters": len(table.cluster_ids),
         "labels": len(table.label_names),
     }
-    _write(args.out, table_text, json.dumps(summary), "\n")
+    _write((args.out, [table_text, json.dumps(summary), "\n"]))
     return 0
 
 

@@ -558,13 +558,14 @@ def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Importance snapshot and drop decision of one iteration."""
+    """Importance snapshot and drop decision of one iteration; ``theta`` (the
+    number of remaining features) and ``feature_names`` are read from ``report``."""
 
     iteration: int
-    theta: int
-    feature_names: tuple[str, ...]
     report: ImportanceReport
     dropped: tuple[str, ...]
+    feature_names = property(lambda self: self.report.feature_names)
+    theta = property(lambda self: len(self.feature_names))
 
     def to_dict(self) -> dict:
         def fracs(values):
@@ -627,22 +628,16 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
     anti_merge_used = False
 
     while True:
-        names = tuple(data.feature_names[f] for f in state.remaining_features)
-        report = importance_report(state.profiles, feature_names=names)
+        report = importance_report(state.profiles, [data.feature_names[f] for f in state.remaining_features])
 
         grouped = group_matching(state)
         labels.append(grouped.labels)
 
-        if (grouped.sizes >= 2).all():
-            trace.append(IterationRecord(state.iteration, state.theta, names, report, ()))
-            stop_reason = STOP_ALL_CLUSTERED
-            break
-
-        dropped_ids = select_drop(grouped, report, config)
-        dropped_names = tuple(data.feature_names[f] for f in dropped_ids)
-        trace.append(IterationRecord(state.iteration, state.theta, names, report, dropped_names))
+        all_clustered = (grouped.sizes >= 2).all()
+        dropped_ids = () if all_clustered else select_drop(grouped, report, config)
+        trace.append(IterationRecord(state.iteration, report, tuple(data.feature_names[f] for f in dropped_ids)))
         if not dropped_ids:
-            stop_reason = STOP_TIED_IMPORTANCE
+            stop_reason = STOP_ALL_CLUSTERED if all_clustered else STOP_TIED_IMPORTANCE
             break
 
         kept = [pos for pos, f in enumerate(grouped.remaining_features) if f not in dropped_ids]

@@ -90,27 +90,22 @@ class Dataset:
         self._frequencies = tuple(freqs)
 
     @classmethod
-    def from_codes(cls, codes, feature_names=None, category_labels=None, labels=None) -> "Dataset":
+    def from_codes(cls, codes) -> "Dataset":
         """Build a dataset straight from an integer code matrix.
 
-        Feature names are synthesized when omitted (``f0..``). When the
-        category labels are omitted, each column is re-encoded to the
+        Features are named ``f0..``. Each column is re-encoded to the
         codes ``0..k-1`` of its ``k`` distinct values in ascending order,
         and each category is labeled ``c`` followed by its original code,
         so cost depends on the matrix size and not on the code values.
+        The dataset carries no object labels.
         """
         codes = as_codes(codes)
-        m = codes.shape[1]
-        if feature_names is None:
-            feature_names = tuple(f"f{i}" for i in range(m))
-        if category_labels is None:
-            compact = np.empty_like(codes)
-            category_labels = []
-            for i in range(m):
-                values, compact[:, i] = np.unique(codes[:, i], return_inverse=True)
-                category_labels.append(tuple(f"c{c}" for c in values))
-            codes = compact
-        return cls(codes, feature_names, category_labels, labels)
+        compact = np.empty_like(codes)
+        category_labels = []
+        for i in range(codes.shape[1]):
+            values, compact[:, i] = np.unique(codes[:, i], return_inverse=True)
+            category_labels.append(tuple(f"c{c}" for c in values))
+        return cls(compact, tuple(f"f{i}" for i in range(codes.shape[1])), category_labels)
 
     # -- basic shape ----------------------------------------------------
 

@@ -68,21 +68,22 @@ class ImportanceReport:
 
     ``match_pairs[l]`` is the ordered matching-pair count of feature
     ``l`` and ``mismatch_pairs[l]`` its complement to ``e(e-1)``; the
-    clustering loop reads only these. ``pgp`` and ``ppp`` are their
-    exact shares, built on each read, or ``None`` when the
-    corresponding sum is zero (no information to rank on).
+    clustering loop reads only these. ``mismatch_pairs`` and the exact
+    shares ``pgp`` and ``ppp`` are built on each read; a share is
+    ``None`` when its counts sum to zero (no information to rank on).
     """
 
     feature_names: tuple[str, ...]
     n_entities: int
     match_pairs: tuple[int, ...]
-    mismatch_pairs: tuple[int, ...]
+    mismatch_pairs = property(lambda self: tuple(self.n_entities * (self.n_entities - 1) - v
+                                                 for v in self.match_pairs))
     pgp = property(lambda self: _shares(self.match_pairs))
     ppp = property(lambda self: _shares(self.mismatch_pairs))
 
 
 def importance_report(data, feature_names: Sequence[str] | None = None) -> ImportanceReport:
-    """Count matching and mismatching pairs per feature over a dataset or code matrix."""
+    """Count matching pairs per feature over a dataset or code matrix."""
     codes = as_codes(data)
     e, f = codes.shape
     if feature_names is None:
@@ -90,8 +91,7 @@ def importance_report(data, feature_names: Sequence[str] | None = None) -> Impor
     feature_names = tuple(feature_names)
     if len(feature_names) != f:
         raise ValueError(f"expected {f} feature names, got {len(feature_names)}")
-    match = match_pair_counts(codes).tolist()
-    return ImportanceReport(feature_names, e, tuple(match), tuple(e * (e - 1) - v for v in match))
+    return ImportanceReport(feature_names, e, tuple(match_pair_counts(codes).tolist()))
 
 
 def pgp(data) -> tuple[Fraction, ...]:

@@ -421,14 +421,14 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         levels.append(grouped.partition())
 
         if all(len(ent) >= 2 for ent in grouped.entities):
-            trace.append(IterationRecord(state.iteration, state.theta, names, report, ()))
+            trace.append(IterationRecord(state.iteration, report, ()))
             state = grouped
             stop_reason = STOP_ALL_CLUSTERED
             break
 
         dropped_ids = select_drop(grouped, report, config)
         dropped_names = tuple(data.feature_names[f] for f in dropped_ids)
-        trace.append(IterationRecord(state.iteration, state.theta, names, report, dropped_names))
+        trace.append(IterationRecord(state.iteration, report, dropped_names))
         if not dropped_ids:
             state = grouped
             stop_reason = STOP_TIED_IMPORTANCE

@@ -1,8 +1,12 @@
-"""The public surface of the package: ``mbclust.__all__``.
+"""The public surface of the package: ``mbclust.__all__``, and the
+settable values of the per-round records and of ``Dataset.from_codes``.
 
-The list is pinned so that an export is added or removed only on
-purpose, and a stale entry fails at once.
+Both are pinned so that an export, a field or a parameter is added or
+removed only on purpose, and a stale entry fails at once.
 """
+
+import dataclasses
+import inspect
 
 import mbclust
 
@@ -62,3 +66,11 @@ def test_every_export_resolves():
 
 def test_exports_equal_the_pinned_list():
     assert set(mbclust.__all__) == PUBLIC
+
+
+def test_record_fields_and_from_codes_parameters_are_pinned():
+    """Derived values (``theta``, ``feature_names``, ``mismatch_pairs``) are properties, not stored copies."""
+    assert [f.name for f in dataclasses.fields(mbclust.IterationRecord)] == ["iteration", "report", "dropped"]
+    assert [f.name for f in dataclasses.fields(mbclust.ImportanceReport)] == [
+        "feature_names", "n_entities", "match_pairs"]
+    assert list(inspect.signature(mbclust.Dataset.from_codes).parameters) == ["codes"]

@@ -70,6 +70,30 @@ def test_cluster_output_files(tmp_path, capsys):
     assert manifest_payload["config"]["anti_merge"] is False
 
 
+@pytest.mark.parametrize("option", ["--dendrogram-out", "--newick-out", "--trace-out", "--manifest-out"])
+def test_cluster_output_that_cannot_be_opened_writes_nothing(tmp_path, capsys, option):
+    out = tmp_path / "assign.csv"
+    assert main(["cluster", DATASET_A, option, str(tmp_path)]) == 1
+    assert main(["cluster", DATASET_A, "--out", str(out), option, str(tmp_path)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("\n") == 2 and err.count("error:") == 2  # no manifest either
+    assert not out.exists() or out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("first, second", [("--out", "--trace-out"), ("--dendrogram-out", "--newick-out"),
+                                           ("--out", "--manifest-out")])
+def test_cluster_outputs_naming_the_same_file_are_refused(tmp_path, capsys, first, second):
+    path = tmp_path / "out.txt"
+    path.write_text("kept\n")
+    for same in (path, f"{tmp_path}/./out.txt"):
+        assert main(["cluster", DATASET_A, first, str(path), second, str(same)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("error: two outputs name the same file") == 2
+    assert path.read_text() == "kept\n"
+
+
 def test_cluster_with_k(capsys):
     assert main(["cluster", DATASET_A, "--k", "2"]) == 0
     out, err = capsys.readouterr()
@@ -467,6 +491,15 @@ def test_eval_with_assignments_file(tmp_path, capsys):
     assert out.splitlines()[0] == "label,1,2,3,4"
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["purity"] == 1.0
+
+
+def test_eval_heads_columns_with_the_files_cluster_ids(tmp_path, capsys):
+    assignments = tmp_path / "assign.csv"
+    assignments.write_text("object,cluster\n" + "".join(f"{i},{7 if i < 4 else 3}\n" for i in range(10)))
+    assert main(["eval", LABELED, "--labels", "group", "--assignments", str(assignments), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["label,3,7", "G1,0,4", "G2,6,0"]
+    assert main(["eval", LABELED, "--labels", "group", "--assignments", str(assignments)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["label", "3", "7"]
 
 
 def test_byte_order_mark_changes_no_output(tmp_path, capsys):

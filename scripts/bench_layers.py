@@ -10,23 +10,31 @@ in this process, with ``time.perf_counter``:
 - ``importance``: ``importance_report`` over the all-singleton profiles
   (one entity per object), as the loop's first round computes it;
 - ``run``: the clustering loop under the default configuration;
-- ``to_json`` and ``to_newick``: the dendrogram writers, on that result;
-- ``cli_cluster``: ``mbclust cluster`` as a whole, with ``--format json``
-  and the dendrogram, Newick and trace side files; its run manifest,
-  which it writes to stderr, goes to the null device.
+- ``to_json`` and ``to_newick``: the dendrogram writers, on that result.
 
 Each layer runs ``REPEATS`` (3) times; the minimum and the median are kept.
 After each size the script reads ``VmHWM`` (the peak resident set size of
 this process) from ``/proc/self/status``; sizes run in ascending order, so
 each reading is the peak up to and including that size.
 
+Then, at each size, it runs the commands themselves, each run in a fresh
+child process that reports the seconds of the command and its own
+``VmHWM``, so that the reading is the command's peak alone (``ru_maxrss``
+would not do, as Linux carries a forked parent's peak across ``exec``):
+
+- ``cli_cluster``: ``mbclust cluster --format json`` with all five
+  outputs (``--out`` and the dendrogram, Newick, trace and manifest
+  files); its run manifest, which it also writes to stderr, is dropped;
+- ``cli_dendrogram``: ``mbclust dendrogram`` with its JSON in ``--out``.
+
+Each command runs ``REPEATS`` times; the minimum and median seconds, the
+largest peak and the SHA-256 of each output file are kept (the manifest
+holds the command's seconds, so its digest differs from run to run).
+
 After the sizes, the script times the quadratic ``mbclust similarity``
 command with ``lin`` and with ``goodall`` on a planted CSV of n = 2500
-(``SIMILARITY_N``), writing CSV output to a temporary file. Each run
-takes a fresh child process, which reports the seconds of the command
-and its own ``VmHWM``, so that the reading is the command's peak alone;
-``ru_maxrss`` would not do, as Linux carries a forked parent's peak
-across ``exec``. The results, with the machine they were taken on, go
+(``SIMILARITY_N``), writing CSV output to a temporary file, in child
+processes as above. The results, with the machine they were taken on, go
 to the JSON file named on the command line.
 
 Usage::
@@ -40,7 +48,7 @@ needed.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -95,10 +103,10 @@ def peak_rss_mb() -> float | None:
     return None
 
 
-# Run in a fresh interpreter by similarity_child, with this script's folder
-# as its argument: one `mbclust similarity` command, then its seconds and the
-# child's own peak RSS as JSON.
-_SIMILARITY_CHILD = """
+# Run in a fresh interpreter by cli_child, with this script's folder and the
+# command's arguments as its arguments: one mbclust command, then its
+# seconds and the child's own peak RSS as JSON.
+_CLI_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import bench_layers
@@ -109,29 +117,35 @@ print(json.dumps({"status": status, "seconds": seconds, "peak_rss_mb": bench_lay
 """
 
 
-def similarity_child(csv_path: Path, measure: str, out: Path) -> dict:
-    """Seconds and peak RSS of ``mbclust similarity`` with CSV output, in a fresh process."""
-    argv = ["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--out", str(out)]
-    proc = subprocess.run([sys.executable, "-c", _SIMILARITY_CHILD, str(Path(__file__).resolve().parent), *argv],
+def cli_child(argv: list[str]) -> dict:
+    """Seconds and peak RSS of one mbclust command, in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, str(Path(__file__).resolve().parent), *argv],
                           capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout)
+    result = json.loads(proc.stdout.splitlines()[-1])
     if result.pop("status") != 0:
-        raise RuntimeError(f"mbclust similarity --measure {measure} failed: {proc.stderr.strip()}")
+        raise RuntimeError(f"mbclust {' '.join(argv)} failed: {proc.stderr.strip()}")
     return result
 
 
+def bench_command(argv: list[str], outputs: list[Path]) -> dict:
+    """``REPEATS`` child runs of one command: minimum and median seconds,
+    largest peak, and the SHA-256 of each output file of the last run."""
+    runs = [cli_child(argv) for _ in range(REPEATS)]
+    seconds = [r["seconds"] for r in runs]
+    peaks = [r["peak_rss_mb"] for r in runs if r["peak_rss_mb"] is not None]
+    return {"min_s": min(seconds), "median_s": statistics.median(seconds), "peak_rss_mb": max(peaks) if peaks else None,
+            "sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}}
+
+
 def bench_similarity(work: Path) -> dict:
-    """``REPEATS`` child runs per measure on planted data of ``SIMILARITY_N`` objects:
-    minimum and median seconds, largest peak."""
+    """``REPEATS`` child runs per measure on planted data of ``SIMILARITY_N`` objects."""
     csv_path = work / f"similarity_{SIMILARITY_N}.csv"
     planted_csv(csv_path, SIMILARITY_N, SEED)
     layers = {}
     for measure in SIMILARITY_MEASURES:
-        runs = [similarity_child(csv_path, measure, work / f"similarity_{measure}.csv") for _ in range(REPEATS)]
-        seconds = [r["seconds"] for r in runs]
-        peaks = [r["peak_rss_mb"] for r in runs if r["peak_rss_mb"] is not None]
-        layers[f"cli_similarity_{measure}"] = {"min_s": min(seconds), "median_s": statistics.median(seconds),
-                                               "peak_rss_mb": max(peaks) if peaks else None}
+        out = work / f"similarity_{measure}.csv"
+        argv = ["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--out", str(out)]
+        layers[f"cli_similarity_{measure}"] = bench_command(argv, [out])
     return {"n": SIMILARITY_N, "layers": layers}
 
 
@@ -156,20 +170,19 @@ def bench_size(n: int, work: Path) -> dict:
     layers["run"], result = timed(lambda: run(data))
     layers["to_json"], _ = timed(result.dendrogram.to_json)
     layers["to_newick"], _ = timed(result.dendrogram.to_newick)
-    argv = ["cluster", str(csv_path), "--label-column", "label", "--format", "json",
-            "--out", str(out / "clusters.json"), "--dendrogram-out", str(out / "dendrogram.json"),
-            "--newick-out", str(out / "tree.nwk"), "--trace-out", str(out / "trace.json")]
-    with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stderr(devnull):
-        layers["cli_cluster"], status = timed(lambda: cli.main(argv))  # its manifest goes to stderr
-    if status != 0:
-        raise RuntimeError(f"mbclust cluster exited with status {status} at n={n}")
-    return {
-        "n": n,
-        "iterations": len(result.trace),
-        "clusters": len(result.partition),
-        "layers": layers,
-        "peak_rss_mb_so_far": peak_rss_mb(),
-    }
+    iterations, clusters = len(result.trace), len(result.partition)
+    peak = peak_rss_mb()
+    del data, result  # the commands run in children; free this process's copies first
+    outputs = {"--out": out / "clusters.json", "--dendrogram-out": out / "dendrogram.json",
+               "--newick-out": out / "tree.nwk", "--trace-out": out / "trace.json",
+               "--manifest-out": out / "manifest.json"}
+    argv = ["cluster", str(csv_path), "--label-column", "label", "--format", "json"]
+    for option, path in outputs.items():
+        argv += [option, str(path)]
+    layers["cli_cluster"] = bench_command(argv, list(outputs.values()))
+    argv = ["dendrogram", str(csv_path), "--label-column", "label", "--out", str(out / "dendrogram_cmd.json")]
+    layers["cli_dendrogram"] = bench_command(argv, [out / "dendrogram_cmd.json"])
+    return {"n": n, "iterations": iterations, "clusters": clusters, "layers": layers, "peak_rss_mb_so_far": peak}
 
 
 def main(argv=None) -> int:
@@ -183,7 +196,9 @@ def main(argv=None) -> int:
             results.append(bench_size(n, Path(tmp)))
             layers = results[-1]["layers"]
             print(f"n={n}: " + ", ".join(f"{name} {v['median_s']:.4f} s" for name, v in layers.items())
-                  + f", peak RSS {results[-1]['peak_rss_mb_so_far']} MB", file=sys.stderr)
+                  + f", peak RSS {results[-1]['peak_rss_mb_so_far']} MB in process, "
+                  + ", ".join(f"{name} {v['peak_rss_mb']} MB" for name, v in layers.items() if "peak_rss_mb" in v),
+                  file=sys.stderr)
         similarity = bench_similarity(Path(tmp))
         for name, v in similarity["layers"].items():
             print(f"n={SIMILARITY_N}: {name} {v['median_s']:.4f} s, peak RSS {v['peak_rss_mb']} MB", file=sys.stderr)

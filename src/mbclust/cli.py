@@ -7,7 +7,9 @@ structure; ``importance`` ranks features; ``similarity`` prints a full
 pairwise matrix; ``eval`` cross-tabulates a clustering against a label
 column. Primary output goes to stdout (or ``--out``); a one-line JSON
 run manifest goes to stderr. Exit codes: 0 success, 1 data error,
-2 usage error.
+2 usage error. The texts of ``cluster``, ``dendrogram`` and
+``similarity`` come from :mod:`mbclust.writers`, and one sink writes
+every output, piece by piece.
 """
 
 from __future__ import annotations
@@ -21,20 +23,10 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable
 
-import numpy as np
-
-from . import similarity
-from .core import (
-    IMPORTANCE_PGP,
-    IMPORTANCE_PPP,
-    TIES_DROP_ALL,
-    MbcConfig,
-    _groups_of,
-    _json_list,
-    _nested_json,
-    run,
-)
+from . import similarity, writers
+from .core import IMPORTANCE_PGP, IMPORTANCE_PPP, TIES_DROP_ALL, MbcConfig, run
 from .dataset import MISSING_CATEGORY, MISSING_REJECT, _csv_records, load_csv
 from .errors import MbcError
 from .evaluation import contingency, misclassified, purity
@@ -79,34 +71,47 @@ def _config(args) -> MbcConfig:
     ).validated()
 
 
-def _write(*outputs: tuple[str | None, list]) -> None:
+def _file_key(path: str | None):
+    """Device and inode of an output's file (stdout's for None) where it
+    exists, else its real path; None for a stdout without a descriptor."""
+    try:
+        info = os.fstat(sys.stdout.fileno()) if path is None else os.stat(path)
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return None if path is None else os.path.realpath(path)
+    return info.st_dev, info.st_ino
+
+
+def _write(*outputs: tuple[str | None, Iterable[str]]) -> None:
     """Write each ``(path, pieces)`` output to the file at ``path``, or to stdout when it is None.
 
-    A piece is a string or an iterable of strings, written as it is
-    consumed. Every path is opened before the first byte is written, and
-    two outputs may not name the same file, so an output that cannot be
-    opened fails the command before it writes anything. Callers compute
-    whatever else can fail first.
+    Each string of ``pieces`` is written as it is consumed, then the
+    newline that ends the output. Every path is opened before the first
+    byte is written, and two outputs may not be one file (by path, by
+    link, or as stdout), so an output that cannot be opened fails the
+    command before it writes anything. Callers raise whatever else can
+    fail before their pieces are consumed.
     """
-    files = [os.path.realpath(path) for path, _ in outputs if path is not None]
-    if len(set(files)) < len(files):
-        raise MbcError(f"two outputs name the same file: {max(files, key=files.count)}")
+    seen = set()
+    for path, _ in outputs:
+        key = _file_key(path)
+        if key in seen:
+            raise MbcError(f"two outputs name the same file: {path or 'stdout'}")
+        seen.add(key)
     with contextlib.ExitStack() as stack:
         sinks = [sys.stdout if path is None else stack.enter_context(open(path, "w", encoding="utf-8"))
                  for path, _ in outputs]
         for sink, (_, pieces) in zip(sinks, outputs):
-            for piece in pieces:
-                sink.writelines([piece] if isinstance(piece, str) else piece)
+            sink.writelines(pieces)
+            sink.write("\n")
 
 
 def _table(rows: list[list[str]], right: bool) -> str:
-    """Aligned text table, one line per row; columns after the first are
-    right-justified when ``right`` is set."""
+    """Aligned text table, one line per row, without a final newline; columns
+    after the first are right-justified when ``right`` is set."""
     widths = [max(map(len, column)) for column in zip(*rows)]
-    return "".join(
+    return "\n".join(
         "  ".join(cell.rjust(w) if right and c else cell.ljust(w) for c, (cell, w) in enumerate(zip(row, widths)))
-        .rstrip() + "\n"
-        for row in rows
+        .rstrip() for row in rows
     )
 
 
@@ -118,17 +123,6 @@ def _config_echo(config: MbcConfig) -> dict:
         "alpha": config.alpha,
         "k": config.k,
     }
-
-
-def _cluster_json(labels: np.ndarray, stop_reason: str, iterations: int) -> str:
-    """The text of ``json.dumps(payload, indent=2)`` for the ``cluster``
-    payload of a partition, written from its labels."""
-    order, ends = _groups_of(labels)
-    return "".join([
-        '{\n  "assignments": ', *_json_list(list(map(str, (labels + 1).tolist())), 4),
-        ',\n  "clusters": ', _nested_json(np.array(list(map(str, order.tolist())), dtype=object), ends, 4),
-        f',\n  "stop_reason": {json.dumps(stop_reason)},\n  "iterations": {iterations}\n}}',
-    ])
 
 
 def _cmd_cluster(args) -> int:
@@ -150,15 +144,14 @@ def _cmd_cluster(args) -> int:
         "seconds": round(seconds, 6),
     }
     if args.format == "json":
-        primary = [_cluster_json(result.labels, result.stop_reason, len(result.trace)), "\n"]
+        primary = writers.cluster_json(result.labels, result.stop_reason, len(result.trace))
     else:
-        rows = enumerate(result.assignments.tolist())
-        primary = ["object,cluster\n", "".join(f"{obj},{cid}\n" for obj, cid in rows)]
-    side = [(args.dendrogram_out, result.dendrogram.to_json), (args.newick_out, result.dendrogram.to_newick),
-            (args.trace_out, lambda: json.dumps([rec.to_dict() for rec in result.trace], indent=2)),
-            (args.manifest_out, lambda: json.dumps(manifest, indent=2))]
-    # Every text is computed here, before _write opens the first path.
-    _write((args.out, primary), *[(path, [text(), "\n"]) for path, text in side if path])
+        primary = writers.assignments_csv(result.assignments)
+    side = [(args.dendrogram_out, writers.dendrogram_json(result.dendrogram)),
+            (args.newick_out, writers.newick(result.dendrogram)),
+            (args.trace_out, writers.trace_json(result.trace)),
+            (args.manifest_out, [json.dumps(manifest, indent=2)])]
+    _write((args.out, primary), *[(path, pieces) for path, pieces in side if path])
     print(json.dumps(manifest, separators=(",", ":")), file=sys.stderr)
     return 0
 
@@ -166,7 +159,8 @@ def _cmd_cluster(args) -> int:
 def _cmd_dendrogram(args) -> int:
     data = _load_dataset(args)
     dendrogram = run(data, _config(args)).dendrogram
-    _write((args.out, [dendrogram.to_newick() if args.format == "newick" else dendrogram.to_json(), "\n"]))
+    writer = writers.newick if args.format == "newick" else writers.dendrogram_json
+    _write((args.out, writer(dendrogram)))
     return 0
 
 
@@ -199,7 +193,7 @@ def _cmd_importance(args) -> int:
     rows = _rank_rows(data.feature_names, numerators, denominator)
 
     if args.format == "json":
-        _write((args.out, [json.dumps(rows, indent=2), "\n"]))
+        _write((args.out, [json.dumps(rows, indent=2)]))
         return 0
     cells = [["feature", "numerator", "denominator", "value"]] + [
         [r["feature"], str(r["numerator"]), str(r["denominator"]), f"{r['value']:.6f}"] for r in rows
@@ -209,52 +203,10 @@ def _cmd_importance(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
-    """Write the matrix one block of rows at a time, formatting each distinct cell of a block once.
-
-    Cells are keyed by bit pattern, so ``-0.0`` keeps its sign. JSON
-    floats use ``repr``, which is what ``json.dumps`` writes for them.
-    ``pairwise_blocks`` raises every error of the measure before
-    ``--out`` is opened, so a failing measure writes nothing; then each
-    block is computed, formatted, written and dropped in turn.
-    """
     data = _load_dataset(args)
+    # pairwise_blocks raises every error of the measure here, before --out is opened.
     blocks = similarity.pairwise_blocks(data, args.measure)
-    n = data.n
-    sep = ", " if args.format == "json" else ","
-
-    def rows():
-        # Where few distinct values recur from block to block (data with few distinct rows,
-        # or few features and categories), formatting each block's values anew made the
-        # command slower than the whole-matrix writer it replaced. So the text of the values
-        # met so far is kept, sorted by key, while another block follows and it holds at
-        # most one block's cells; once it would not, nothing more is kept.
-        nothing = np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
-        (seen, seen_text), keep, done = nothing, True, 0
-        for block in blocks:
-            cell = str if block.dtype.kind == "i" else repr if args.format == "json" else "{:.6f}".format
-            keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-            at = np.searchsorted(seen, keys)
-            known = at < len(seen)
-            known[known] = seen[at[known]] == keys[known]
-            new = ~known
-            text = np.empty(len(keys), dtype=object)
-            text[known] = seen_text[at[known]]
-            text[new] = np.frompyfunc(cell, 1, 1)(keys[new].view(block.dtype))
-            done += len(block)
-            keep = keep and done < n and len(seen) + np.count_nonzero(new) <= similarity._BLOCK_CELLS
-            if keep:
-                seen, seen_text = np.insert(seen, at[new], keys[new]), np.insert(seen_text, at[new], text[new])
-            else:  # a view would keep the old text alive
-                seen, seen_text = nothing
-            for cells in text[inverse.reshape(-1, n)]:
-                yield sep.join(cells.tolist())
-
-    if args.format == "json":
-        pieces = [f'{{"measure": "{args.measure}", "n": {n}, "matrix": [',
-                  (f"{', ' if i else ''}[{row}]" for i, row in enumerate(rows())), "]}\n"]
-    else:
-        pieces = ["".join(f",{j}" for j in range(n)), "\n", (f"{i},{row}\n" for i, row in enumerate(rows()))]
-    _write((args.out, pieces))
+    _write((args.out, writers.similarity_matrix(blocks, data.n, args.measure, args.format)))
     return 0
 
 
@@ -291,15 +243,15 @@ def _cmd_eval(args) -> int:
         csvmod.writer(buf, lineterminator="\n").writerows(cells)
         table_text = buf.getvalue()
     else:
-        table_text = _table(cells, right=True)
+        table_text = _table(cells, right=True) + "\n"
     summary = {
         "purity": purity(table),
         "misclassified": misclassified(table),
         "n": table.n,
-        "clusters": len(table.cluster_ids),
+        "clusters": len(clusters),
         "labels": len(table.label_names),
     }
-    _write((args.out, [table_text, json.dumps(summary), "\n"]))
+    _write((args.out, [table_text, json.dumps(summary)]))
     return 0
 
 

@@ -18,7 +18,8 @@ The loop is array work: a state holds one entity label per object and
 one feature-major profile row per entity, and identical profiles are
 found by one sort of one packed integer key per row. The dendrogram
 keeps each level's labels; member tuples and merge records are derived
-from them on demand.
+from them on demand. This module holds no text layout: the JSON and
+Newick texts come from :mod:`mbclust.writers`.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _groups_of(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     end of each entity in that order; every entity has a member."""
     # The narrowest dtype that holds the labels; numpy radix-sorts 8- and
     # 16-bit keys when asked for a stable sort.
-    keys = labels.astype(np.min_scalar_type(len(labels)), copy=False)
+    keys = labels.astype(np.min_scalar_type(labels.max(initial=0)), copy=False)
     return np.argsort(keys, kind="stable"), np.cumsum(np.bincount(labels))
 
 
@@ -371,33 +372,6 @@ class MergeEvent:
     members: tuple[int, ...]
 
 
-def _json_list(items: list[str], indent: int) -> list[str]:
-    """The pieces of a JSON list of rendered items, laid out as
-    ``json.dumps(..., indent=2)`` does with the items ``indent`` spaces
-    deep; no item renders empty. Callers join all pieces of a text at
-    once, so that a long item is copied once."""
-    pad = "\n" + " " * indent
-    parts = ["," + pad] * (2 * len(items) + 1)
-    parts[1::2] = items
-    parts[0], parts[-1] = "[" + pad, pad[:-2] + "]"
-    return parts if items else ["[]"]
-
-
-def _nested_json(items: np.ndarray, ends: np.ndarray, indent: int) -> str:
-    """A JSON list of non-empty lists as ``json.dumps(..., indent=2)`` lays it
-    out with the inner lists ``indent`` spaces deep, from the rendered items
-    of all inner lists in order and the end of each inner list."""
-    if not len(items):
-        return "[]"
-    pad, inner = "\n" + " " * indent, "\n" + " " * (indent + 2)
-    parts = np.empty(2 * len(items) + 1, dtype=object)
-    parts[1::2] = items
-    parts[2:-1:2] = "," + inner
-    parts[2 * ends[:-1]] = pad + "]," + pad + "[" + inner
-    parts[0], parts[-1] = "[" + pad + "[" + inner, pad + "]" + pad[:-2] + "]"
-    return "".join(parts.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
     """Merge history of a run, stored as the partition at every level.
@@ -490,47 +464,16 @@ class Dendrogram:
         return {"n_leaves": self.n_leaves, "levels": levels, "merges": merges, "anti_merge_used": self.anti_merge_used}
 
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_dict(), indent=2)``, written directly.
+        """The text of ``json.dumps(self.to_dict(), indent=2)``, from :func:`mbclust.writers.dendrogram_json`."""
+        from .writers import dendrogram_json  # here, as writers imports core
 
-        Each object number is rendered once. A level joins those texts in
-        the stable argsort order of its labels, and a merge's ``members``
-        joins the same texts of the entity it formed.
-        """
-        numbers = np.array([str(i) for i in range(self.n_leaves)], dtype=object)
-        sep = ",\n        "
-        levels, merges = [], []
-        for p, (labels, formed) in enumerate(zip(self.labels, self._merges)):
-            order, ends = _groups_of(labels)
-            items = numbers[order]
-            levels.append(_nested_json(items, ends, 6))
-            items, bounds = items.tolist(), [0] + ends.tolist()
-            merges += (
-                f'{{\n      "iteration": {p - 1},\n      "parent": {parent},\n'
-                f'      "children": [\n        {sep.join(map(str, children))}\n      ],\n'
-                f'      "members": [\n        {sep.join(items[bounds[idx]:bounds[idx + 1]])}\n      ]\n    }}'
-                for idx, parent, children in formed
-            )
-        return "".join([
-            f'{{\n  "n_leaves": {self.n_leaves},\n  "levels": ', *_json_list(levels, 4),
-            ',\n  "merges": ', *_json_list(merges, 4),
-            f',\n  "anti_merge_used": {"true" if self.anti_merge_used else "false"}\n}}',
-        ])
+        return "".join(dendrogram_json(self))
 
     def to_newick(self) -> str:
-        """Newick rendering; leaves are object row indices.
+        """Newick rendering, from :func:`mbclust.writers.newick`."""
+        from .writers import newick
 
-        The roots are the nodes that no merge lists as a child, in order
-        of their smallest member. Multiple roots are joined under one
-        synthetic root so the output is always a single tree.
-        """
-        text = dict(enumerate(map(str, range(self.n_leaves))))
-        low = list(range(self.n_leaves))  # smallest member of each node
-        for merges in self._merges:
-            for _, parent, children in merges:
-                low.append(low[children[0]])
-                text[parent] = "(" + ",".join(map(text.pop, children)) + ")"
-        roots = [text[node] for node in sorted(text, key=low.__getitem__)]
-        return (roots[0] if len(roots) == 1 else "(" + ",".join(roots) + ")") + ";"
+        return "".join(newick(self))
 
 
 def _cut_level(dendrogram: Dendrogram, k: int) -> int:

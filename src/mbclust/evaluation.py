@@ -13,13 +13,11 @@ class ContingencyTable:
     """Cluster-by-class count table.
 
     Rows follow ``label_names`` (first-appearance order of the given
-    labels); columns follow ``cluster_ids`` (1-based partition order).
-    ``counts[r, c]`` is the number of objects of class ``r`` in cluster
-    ``c``.
+    labels); columns follow the partition's order. ``counts[r, c]`` is the
+    number of objects of class ``r`` in cluster ``c``.
     """
 
     label_names: tuple[str, ...]
-    cluster_ids: tuple[int, ...]
     counts: np.ndarray
 
     @property
@@ -63,11 +61,7 @@ def contingency(partition: Sequence[Sequence[int]], labels: Sequence[str]) -> Co
         for m in members:
             counts[label_row[labels[int(m)]], col] += 1
     counts.setflags(write=False)
-    return ContingencyTable(
-        label_names=tuple(label_names),
-        cluster_ids=tuple(range(1, len(partition) + 1)),
-        counts=counts,
-    )
+    return ContingencyTable(label_names=tuple(label_names), counts=counts)
 
 
 def purity(table: ContingencyTable) -> float:

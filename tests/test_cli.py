@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import mbclust.cli
 import pairwise_loop
-from mbclust import STOP_ALL_CLUSTERED, STOP_TIED_IMPORTANCE, Dendrogram, MbcConfig, load_csv
+from mbclust import STOP_ALL_CLUSTERED, STOP_TIED_IMPORTANCE, Dendrogram, MbcConfig, load_csv, writers
 from mbclust.cli import main
 from conftest import DATA_DIR
 from oracles import NEWICK_A
@@ -86,12 +88,22 @@ def test_cluster_output_that_cannot_be_opened_writes_nothing(tmp_path, capsys, o
 def test_cluster_outputs_naming_the_same_file_are_refused(tmp_path, capsys, first, second):
     path = tmp_path / "out.txt"
     path.write_text("kept\n")
-    for same in (path, f"{tmp_path}/./out.txt"):
+    os.link(path, tmp_path / "link.txt")
+    for same in (path, f"{tmp_path}/./out.txt", tmp_path / "link.txt"):
         assert main(["cluster", DATASET_A, first, str(path), second, str(same)]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    assert err.count("error: two outputs name the same file") == 2
+    assert err.count("error: two outputs name the same file") == 3
     assert path.read_text() == "kept\n"
+
+
+def test_cluster_output_that_is_stdout_is_refused(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "out.txt"
+    with open(path, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["cluster", DATASET_A, "--trace-out", str(path)]) == 1
+    assert "error: two outputs name the same file" in capsys.readouterr().err
+    assert path.read_text() == ""
 
 
 def test_cluster_with_k(capsys):
@@ -210,7 +222,7 @@ def test_cluster_json_equals_indented_dump(labels, stop_reason, iterations):
         "stop_reason": stop_reason,
         "iterations": iterations,
     }
-    assert mbclust.cli._cluster_json(labels, stop_reason, iterations) == json.dumps(payload, indent=2)
+    assert "".join(writers.cluster_json(labels, stop_reason, iterations)) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize("argv", [

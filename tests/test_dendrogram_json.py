@@ -4,16 +4,19 @@ The writer renders each object number once and joins the levels and
 merges straight from the level labels with fixed separators, so its text
 must equal the generic encoder's byte for byte on every run
 configuration and on hand-built dendrograms that :func:`run` never
-produces.
+produces. Written to a file, it holds one level's text at a time.
 """
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mbclust import Dendrogram, MbcConfig, run
+from mbclust import Dendrogram, MbcConfig, run, writers
+from mbclust.cli import _write
 from oracles import labels_of_levels
 from test_equivalence import GRID, code_matrices
 
@@ -51,6 +54,19 @@ def test_to_json_of_hand_built_dendrograms(levels, n_leaves, anti_merge_used):
     assert_oracle_text(dendrogram)
 
 
+def test_to_json_of_merges_numbered_past_8_bits():
+    # Level 1 merges 598 into entity 255 and 599 into entity 256, numbers
+    # past 8 bits: grouping must not narrow the labels below their range.
+    level = np.arange(600)
+    level[598:] = 255, 256
+    dendrogram = Dendrogram(n_leaves=600, labels=[np.arange(600), level])
+    assert_oracle_text(dendrogram)
+    assert json.loads(dendrogram.to_json())["merges"] == [
+        {"iteration": 0, "parent": 600, "children": [255, 598], "members": [255, 598]},
+        {"iteration": 0, "parent": 601, "children": [256, 599], "members": [256, 599]},
+    ]
+
+
 def test_merges_derived_from_hand_built_levels():
     levels = (((0,), (1,), (2,), (3,)), ((0, 2, 3), (1,)), ((0, 1, 2, 3),))
     dendrogram = Dendrogram(n_leaves=4, labels=labels_of_levels(levels, 4))
@@ -60,3 +76,18 @@ def test_merges_derived_from_hand_built_levels():
     ]
     assert dendrogram.level_sizes == (4, 2, 1)
     assert dendrogram.to_newick() == "((0,2,3),1);"
+
+
+def test_streamed_dendrogram_holds_one_level_at_a_time(tmp_path):
+    # Level p puts objects 0..p in one entity and leaves the rest alone, so
+    # every level's text is about as long and the merges stay short.
+    n, depth = 20000, 30
+    dendrogram = Dendrogram(n_leaves=n, labels=np.maximum(np.arange(n) - np.arange(depth)[:, None], 0))
+    path = tmp_path / "dendrogram.json"
+    tracemalloc.start()
+    try:
+        _write((str(path), writers.dendrogram_json(dendrogram)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)

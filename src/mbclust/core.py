@@ -415,7 +415,11 @@ class Dendrogram:
         """Per level, the merges that formed it as ``(entity, parent,
         children)``, with the children's node ids in entity order."""
         nodes, next_node, formed = np.arange(self.n_leaves), self.n_leaves, [()]
-        for old, new in zip(self.labels, self.labels[1:]):
+        sizes = self.level_sizes
+        for old, new, before, size in zip(self.labels, self.labels[1:], sizes, sizes[1:]):
+            if size == before:  # a coarsening of the same size repeats the level before: nothing merged
+                formed.append(())
+                continue
             # New entity of each old one; the old entities of each new one,
             # in entity order, are a run of ``children``.
             new_of_old = np.empty(len(nodes), dtype=np.intp)
@@ -437,10 +441,19 @@ class Dendrogram:
         """Number of entities at each level."""
         return tuple((self.labels.max(axis=1, initial=-1) + 1).tolist())
 
+    def _each_level(self, derive):
+        """``derive(labels)`` of each level in turn; a level that repeats the one
+        before (a coarsening of the same size) gets the same object again."""
+        value, before = None, None
+        for labels, size in zip(self.labels, self.level_sizes):
+            if size != before:
+                value, before = derive(labels), size
+            yield value
+
     @cached_property
     def levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Each level's entities as ascending member tuples, in entity order."""
-        return tuple(map(_member_tuples, self.labels))
+        return tuple(self._each_level(_member_tuples))
 
     @cached_property
     def merge_events(self) -> tuple[MergeEvent, ...]:
@@ -453,12 +466,17 @@ class Dendrogram:
 
     def to_dict(self) -> dict:
         objects = np.arange(self.n_leaves).astype(object)  # one int per object, shared by every level
-        levels, merges = [], []
-        for p, (labels, formed) in enumerate(zip(self.labels, self._merges)):
+
+        def member_lists(labels):
             order, ends = _groups_of(labels)
             members, ends = objects[order].tolist(), ends.tolist()
-            level = [members[start:end] for start, end in zip([0] + ends[:-1], ends)]
-            levels.append(level)
+            return [members[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+        levels, merges, previous = [], [], None
+        for p, (level, formed) in enumerate(zip(self._each_level(member_lists), self._merges)):
+            # A repeated level gets lists of its own, so that no two levels share one.
+            levels.append(list(map(list.copy, level)) if level is previous else level)
+            previous = level
             merges += ({"iteration": p - 1, "parent": parent, "children": list(children), "members": list(level[idx])}
                        for idx, parent, children in formed)
         return {"n_leaves": self.n_leaves, "levels": levels, "merges": merges, "anti_merge_used": self.anti_merge_used}
@@ -557,9 +575,10 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
 
     Each iteration ranks the remaining features over the current
     entities, merges all fully agreeing entities, and removes the least
-    important features. With ``config.k`` set, the returned partition is
-    the dendrogram level closest to ``k`` clusters instead of the loop's
-    final state.
+    important features. A round that merged nothing hands the next its
+    pair counts at the kept features, as the entities are the same. With
+    ``config.k`` set, the returned partition is the dendrogram level
+    closest to ``k`` clusters instead of the loop's final state.
     """
     config = (config or MbcConfig()).validated()
     if not hasattr(data, "codes_matrix"):
@@ -569,9 +588,11 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
     labels = [state.labels]
     trace: list[IterationRecord] = []
     anti_merge_used = False
+    report = None
 
     while True:
-        report = importance_report(state.profiles, [data.feature_names[f] for f in state.remaining_features])
+        if report is None:
+            report = importance_report(state.profiles, [data.feature_names[f] for f in state.remaining_features])
 
         grouped = group_matching(state)
         labels.append(grouped.labels)
@@ -584,6 +605,10 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
             break
 
         kept = [pos for pos, f in enumerate(grouped.remaining_features) if f not in dropped_ids]
+        # When nothing merged, the next round counts the same entities over the kept columns.
+        report = None if grouped is not state else ImportanceReport(
+            tuple(report.feature_names[pos] for pos in kept), report.n_entities,
+            tuple(report.match_pairs[pos] for pos in kept))
         state = ClusteringState(labels=grouped.labels, profiles=np.asfortranarray(grouped.profiles[:, kept]),
                                 remaining_features=tuple(grouped.remaining_features[pos] for pos in kept),
                                 iteration=grouped.iteration + 1)

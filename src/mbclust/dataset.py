@@ -8,6 +8,7 @@ A dataset is immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import csv
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -205,31 +206,37 @@ def load_csv(path, label_column: str | None = None, missing_policy: str = MISSIN
         if not feature_cols:
             raise CsvError(f"{path}: no feature columns besides the label column")
 
+        # Per feature, the code of each category and of each cell text as read; a row whose
+        # texts are all known is looked up in one pass, and only a new text is trimmed.
         code_books: list[dict[str, int]] = [{} for _ in feature_cols]
-        encoded_rows: list[list[int]] = []
+        raw_books: list[dict[str, int]] = [{} for _ in feature_cols]
+        cells, width = array("q"), len(feature_cols)
         labels: list[str] = []
         for rownum, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise CsvError(f"{path}: row {rownum}: expected {len(header)} fields, got {len(record)}")
-            codes = []
-            for pos, col in enumerate(feature_cols):
-                text = record[col].strip()
-                if text in _MISSING_MARKERS:
-                    if missing_policy == MISSING_REJECT:
-                        raise CsvError(f"{path}: row {rownum}, column {header[col]!r}: missing value")
-                    text = _MISSING_LABEL
-                book = code_books[pos]
-                codes.append(book.setdefault(text, len(book)))
-            encoded_rows.append(codes)
             if label_idx is not None:
-                labels.append(record[label_idx].strip())
+                labels.append(record.pop(label_idx).strip())  # the record keeps the feature cells
+            try:
+                cells.extend(map(dict.__getitem__, raw_books, record))
+            except KeyError:
+                del cells[(rownum - 2) * width:]  # the cells this row added before the new text
+                for col, raw, book, text in zip(feature_cols, raw_books, code_books, record):
+                    if text not in raw:
+                        category = text.strip()
+                        if category in _MISSING_MARKERS:
+                            if missing_policy == MISSING_REJECT:
+                                raise CsvError(f"{path}: row {rownum}, column {header[col]!r}: missing value")
+                            category = _MISSING_LABEL
+                        raw[text] = book.setdefault(category, len(book))
+                cells.extend(map(dict.__getitem__, raw_books, record))
 
-    if not encoded_rows:
+    if not cells:
         raise CsvError(f"{path}: no data rows")
 
     category_labels = [tuple(book) for book in code_books]  # dicts preserve insertion order
     return Dataset(
-        np.array(encoded_rows, dtype=np.int64),
+        np.frombuffer(cells, dtype=np.int64).reshape(-1, width),
         feature_names=[header[c] for c in feature_cols],
         category_labels=category_labels,
         labels=labels if label_idx is not None else None,

@@ -74,14 +74,17 @@ def assignments_csv(assignments: np.ndarray):
 def dendrogram_json(dendrogram):
     """The text of ``json.dumps(dendrogram.to_dict(), indent=2)``.
 
-    Each level's member lists are one piece; then the merges of each level
-    are one piece, whose ``members`` are grouped again from the labels of
-    that level's merged objects. So at most one level's text is held.
+    Each level's member lists are one piece, which a level that repeats
+    the one before yields again; then the merges of each level are one
+    piece, whose ``members`` are grouped again from the labels of that
+    level's merged objects. So at most one level's text is held.
     """
     numbers, sep = _numbers(dendrogram.n_leaves), ",\n        "
 
     def merges():
         for p, (labels, formed) in enumerate(zip(dendrogram.labels, dendrogram._merges)):
+            if not formed:
+                continue
             rank = np.full(len(labels), -1)  # each merged entity's place among the merged ones
             rank[[idx for idx, _, _ in formed]] = np.arange(len(formed))
             objects = np.flatnonzero(rank[labels] >= 0)
@@ -93,7 +96,7 @@ def dendrogram_json(dendrogram):
                    for k, (_, parent, children) in enumerate(formed)]
 
     yield f'{{\n  "n_leaves": {dendrogram.n_leaves},\n  "levels": '
-    yield from _json_list(([_member_lists(numbers, labels, 6)] for labels in dendrogram.labels), 4)
+    yield from _json_list(dendrogram._each_level(lambda labels: [_member_lists(numbers, labels, 6)]), 4)
     yield ',\n  "merges": '
     yield from _json_list(merges(), 4)
     yield f',\n  "anti_merge_used": {"true" if dendrogram.anti_merge_used else "false"}\n}}'

@@ -89,6 +89,30 @@ PAIR_MEASURES_D42 = (
 )
 PPP_D42 = (Fraction(1, 2), Fraction(1, 2))
 
+# Hand-built dendrograms whose levels repeat the level before, with their
+# merges as (iteration, parent, children, members) and their Newick text.
+# A level that repeats its predecessor merges nothing. Repeated after a
+# merge level, on 4 objects:
+REPEAT_AFTER_MERGE = (
+    ((0,), (1,), (2,), (3,)),
+    ((0, 2), (1,), (3,)),
+    ((0, 2), (1,), (3,)),
+    ((0, 1, 2), (3,)),
+)
+REPEAT_AFTER_MERGE_EVENTS = ((0, 4, (0, 2), (0, 2)), (2, 5, (4, 1), (0, 1, 2)))
+REPEAT_AFTER_MERGE_NEWICK = "(((0,2),1),3);"
+# Two repeats in a row, then a merge, then one more repeat, on 5 objects:
+REPEAT_TWICE = (
+    ((0,), (1,), (2,), (3,), (4,)),
+    ((0, 3), (1,), (2,), (4,)),
+    ((0, 3), (1,), (2,), (4,)),
+    ((0, 3), (1,), (2,), (4,)),
+    ((0, 3), (1, 2, 4)),
+    ((0, 3), (1, 2, 4)),
+)
+REPEAT_TWICE_EVENTS = ((0, 5, (0, 3), (0, 3)), (3, 6, (1, 2, 4), (1, 2, 4)))
+REPEAT_TWICE_NEWICK = "((0,3),(1,2,4));"
+
 
 def labels_of_levels(levels, n_leaves: int) -> np.ndarray:
     """Entity index of each object at each level, from each level's member

@@ -166,6 +166,51 @@ def test_csv_whitespace_trimmed(tmp_path):
     assert data.frequency(1, 0) == 2
 
 
+def test_csv_padded_text_before_plain_shares_its_code(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("A,B\n a,x\nb,x\na,x\na ,y\n")
+    data = load_csv(path)
+    assert data.category_labels == (("a", "b"), ("x", "y"))
+    assert data.cells.tolist() == [[0, 0], [1, 0], [0, 0], [0, 1]]
+
+
+def test_csv_missing_after_every_category_is_known(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("A,B,C\nx,y,z\nx,y,z\nx,,z\n")
+    with pytest.raises(CsvError, match=r"row 4, column 'B': missing value"):
+        load_csv(path)
+
+
+def test_csv_width_and_missing_errors_in_row_order(tmp_path):
+    short_first = tmp_path / "s.csv"
+    short_first.write_text("A,B\nx,y\nx\nx,?\n")
+    with pytest.raises(CsvError, match="row 3: expected 2 fields, got 1"):
+        load_csv(short_first)
+    missing_first = tmp_path / "m.csv"
+    missing_first.write_text("A,B\nx,y\n?,y\nx\n")
+    with pytest.raises(CsvError, match=r"row 3, column 'A': missing value"):
+        load_csv(missing_first)
+
+
+def test_csv_missing_markers_share_one_category(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text('A,B\nx,\n?,y\n" ? ",y\nx,?\n')
+    data = load_csv(path, missing_policy="category")
+    assert data.category_labels == (("x", "?"), ("?", "y"))
+    assert data.cells.tolist() == [[0, 0], [1, 1], [1, 1], [0, 0]]
+
+
+def test_csv_one_feature(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("label,A\np,xy\nq,z\nr,xy\n")
+    data = load_csv(path, label_column="label")
+    assert data.feature_names == ("A",)
+    assert data.category_labels == (("xy", "z"),)
+    assert data.cells.tolist() == [[0], [1], [0]]
+    assert data.labels == ("p", "q", "r")
+    assert load_csv(path).cells.tolist() == [[0, 0], [1, 1], [2, 0]]
+
+
 def test_csv_structural_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mbclust import Dendrogram, MbcConfig, run, writers
 from mbclust.cli import _write
+import oracles
 from oracles import labels_of_levels
 from test_equivalence import GRID, code_matrices
 
@@ -76,6 +77,37 @@ def test_merges_derived_from_hand_built_levels():
     ]
     assert dendrogram.level_sizes == (4, 2, 1)
     assert dendrogram.to_newick() == "((0,2,3),1);"
+
+
+REPEATED = [
+    pytest.param(oracles.REPEAT_AFTER_MERGE, oracles.REPEAT_AFTER_MERGE_EVENTS, oracles.REPEAT_AFTER_MERGE_NEWICK,
+                 id="repeat-after-merge"),
+    pytest.param(oracles.REPEAT_TWICE, oracles.REPEAT_TWICE_EVENTS, oracles.REPEAT_TWICE_NEWICK, id="two-repeats"),
+]
+
+
+@pytest.mark.parametrize("levels, events, newick", REPEATED)
+def test_repeated_levels_are_derived_once(levels, events, newick):
+    n_leaves = len(levels[0])
+    dendrogram = Dendrogram(n_leaves=n_leaves, labels=labels_of_levels(levels, n_leaves))
+    assert_oracle_text(dendrogram)
+    assert dendrogram.levels == levels
+    assert [(ev.iteration, ev.parent, ev.children, ev.members) for ev in dendrogram.merge_events] == list(events)
+    assert dendrogram.to_newick() == newick
+    assert dendrogram.level_sizes == tuple(map(len, levels))
+
+
+@pytest.mark.parametrize("levels, events, newick", REPEATED)
+def test_to_dict_shares_no_list_between_levels(levels, events, newick):
+    n_leaves = len(levels[0])
+    payload = Dendrogram(n_leaves=n_leaves, labels=labels_of_levels(levels, n_leaves)).to_dict()
+    lists = [*payload["levels"], *(members for level in payload["levels"] for members in level),
+             *(merge[key] for merge in payload["merges"] for key in ("children", "members"))]
+    assert len(set(map(id, lists))) == len(lists)
+    # Mutating a level leaves the level that repeats it as it was.
+    payload["levels"][1][0].append(99)
+    payload["levels"][1].append([98])
+    assert payload["levels"][2] == [list(members) for members in levels[2]]
 
 
 def test_streamed_dendrogram_holds_one_level_at_a_time(tmp_path):

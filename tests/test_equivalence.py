@@ -11,6 +11,7 @@ three writers.
 
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import matrix_loop
+import mbclust.core
 from mbclust import MbcConfig, run
 
 
@@ -91,9 +93,39 @@ def test_run_equals_matrix_loop(measure, ties, anti_merge, codes, k, alpha):
 @given(codes=twin_column_matrices(), k=st.sampled_from([None, 2, 3]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
 def test_run_with_twin_columns_equals_matrix_loop(measure, anti_merge, codes, k, alpha):
     """pgp2 ties among columns that split the entities alike, decided
-    without a sweep, and mixed with columns that split them otherwise."""
+    without a sweep, and mixed with columns that split them otherwise.
+    Pairs are counted only in the first round and after a merge."""
     config = MbcConfig(importance_measure=measure, tie_policy="pgp2", anti_merge=anti_merge, k=k, alpha=alpha)
+    result, calls = counted_run(codes, config)
+    assert calls == 1 + rounds_after_a_merge(result)
     assert_run_equals_matrix_loop(codes, config)
+
+
+def counted_run(codes, config):
+    """The result of ``run`` and how often it counted pairs with ``importance_report``."""
+    with mock.patch.object(mbclust.core, "importance_report", wraps=mbclust.core.importance_report) as counted:
+        result = run(codes, config)
+    return result, counted.call_count
+
+
+def rounds_after_a_merge(result) -> int:
+    """Rounds after the first whose previous round merged something; round
+    ``r`` forms level ``r + 1``, so it merged when that level is smaller."""
+    sizes = result.dendrogram.level_sizes
+    return sum(sizes[r] < sizes[r - 1] for r in range(1, len(result.trace)))
+
+
+def test_rounds_that_merge_nothing_reuse_their_pair_counts():
+    """Dropping a twin column merges nothing, so the next round takes this
+    round's pair counts at the kept columns instead of counting again."""
+    base = np.random.default_rng(0).integers(0, 3, size=(40, 4))
+    codes = np.concatenate([base, base * 7 + 5], axis=1)  # every column beside a recoded twin
+    config = MbcConfig(tie_policy="pgp2-single", anti_merge=False)
+    result, calls = counted_run(codes, config)
+    assert result.dendrogram.level_sizes == (40, 33, 33, 22, 22, 22, 9, 3)
+    assert calls == 1 + rounds_after_a_merge(result) == 4 < len(result.trace) == 7
+    expected = matrix_loop.run(codes, config)
+    assert [record.to_dict() for record in result.trace] == [record.to_dict() for record in expected.trace]
 
 
 def assert_run_equals_matrix_loop(codes, config):

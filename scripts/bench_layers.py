@@ -33,9 +33,11 @@ holds the command's seconds, so its digest differs from run to run).
 
 After the sizes, the script times the quadratic ``mbclust similarity``
 command with ``lin`` and with ``goodall`` on a planted CSV of n = 2500
-(``SIMILARITY_N``), writing CSV output to a temporary file, in child
-processes as above. The results, with the machine they were taken on, go
-to the JSON file named on the command line.
+(``SIMILARITY_N``), writing CSV output (``cli_similarity_<measure>``) and
+JSON output (``cli_similarity_<measure>_json``) to a temporary file, in
+child processes as above, with the SHA-256 of each output. The results,
+with the machine they were taken on, go to the JSON file named on the
+command line.
 
 Usage::
 
@@ -138,14 +140,16 @@ def bench_command(argv: list[str], outputs: list[Path]) -> dict:
 
 
 def bench_similarity(work: Path) -> dict:
-    """``REPEATS`` child runs per measure on planted data of ``SIMILARITY_N`` objects."""
+    """``REPEATS`` child runs per measure and format on planted data of ``SIMILARITY_N`` objects."""
     csv_path = work / f"similarity_{SIMILARITY_N}.csv"
     planted_csv(csv_path, SIMILARITY_N, SEED)
     layers = {}
     for measure in SIMILARITY_MEASURES:
-        out = work / f"similarity_{measure}.csv"
-        argv = ["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--out", str(out)]
-        layers[f"cli_similarity_{measure}"] = bench_command(argv, [out])
+        for fmt, suffix in (("csv", ""), ("json", "_json")):
+            out = work / f"similarity_{measure}.{fmt}"
+            argv = ["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--format", fmt,
+                    "--out", str(out)]
+            layers[f"cli_similarity_{measure}{suffix}"] = bench_command(argv, [out])
     return {"n": SIMILARITY_N, "layers": layers}
 
 

@@ -6,6 +6,12 @@ JSON texts are ``json.dumps(payload, indent=2)`` byte for byte (the
 similarity matrix without indent). No text ends with a newline: the
 sink that writes a file adds its last one. Writers read finished
 results and raise nothing on them.
+
+The similarity matrix's float cells come from one digit engine,
+:func:`float_text`: it writes the ``repr`` (JSON) or ``"{:.6f}"`` (CSV)
+text of the values in [2**-8, 1) with uint64 arithmetic, a bounded chunk
+of values at a time, and formats the other values (outside that range,
+powers of two, and ties between two shortest ``repr`` texts) one by one.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import json
 
 import numpy as np
 
-from . import similarity
 from .core import _groups_of
 
 
@@ -124,40 +129,94 @@ def trace_json(trace):
     yield json.dumps([record.to_dict() for record in trace], indent=2)
 
 
+_TEXT_CHUNK = 1 << 12  # values laid out at once, so that the digit engine's temporaries stay small
+
+
+def float_text(values: np.ndarray, fmt: str) -> np.ndarray:
+    """The text of each float64 of ``values`` as JSON writes it (``repr``, for
+    ``fmt == "json"``) or as ``"{:.6f}".format`` does, in an object array.
+
+    A value v in [2**-8, 1) that is not a power of two is M / 2**s with an
+    integer M in [2**52, 2**53) and s in 53..60. So ``frac = 10 * frac`` stays
+    below 2**64, and ``frac >> s`` is the next exact decimal digit of v and
+    ``frac % 2**s`` the exact remainder. The ``{:.6f}`` text stops after six
+    digits and rounds half to even on the remainder. ``repr`` is the shortest
+    text that reads back as v: it stops at the first k digits where the text
+    rounded down (or up) is nearer to v than half of v's gap of 2**-s to its
+    neighbours, ``2 * frac < 10**k`` (or ``2 * (2**s - frac) < 10**k``), and
+    takes the nearer of the two. Neither is ever exactly that near, as that
+    would make the odd ``5**k * (2M - 1)`` a multiple of 2**(s - k + 1), so
+    how a read breaks a tie between two floats does not matter. Other values
+    (outside the range, powers of two, whose lower gap is half as wide, and
+    the rare tie between the two shortest texts) are formatted one by one by
+    ``repr`` or ``format``.
+    """
+    json_text = fmt == "json"
+    places = 19 if json_text else 6  # repr of v >= 2**-8 has at most 2 zeros and 17 digits after the point
+    text = np.empty(len(values), dtype=object)
+    for a in range(0, len(values), _TEXT_CHUNK):
+        bits = values[a:a + _TEXT_CHUNK].view(np.uint64)
+        biased, frac = bits >> 52, bits & ((1 << 52) - 1)
+        fast = (biased >= 1015) & (biased < 1023) & (frac > 0)  # the sign bit fails biased < 1023
+        shift, frac = 1075 - biased[fast], frac[fast] | (1 << 52)
+        half = (np.uint64(1) << (shift - 1)).view(np.int64)
+        low = (2 * half - 1).view(np.uint64)
+        digits = np.empty((places, len(frac)), dtype=np.uint8)  # characters
+        side = np.empty((places, len(frac)), dtype=np.int8)  # sign of the remainder less half of 2**s
+        going = np.empty((places, len(frac)), dtype=bool)  # no text of this many digits reads back as v
+        for k in range(places):
+            frac *= 10
+            np.add(frac >> shift, ord("0"), out=digits[k], casting="unsafe")
+            frac &= low
+            away = frac.view(np.int64) - half
+            np.sign(away, out=side[k], casting="unsafe")
+            if json_text:  # the nearer text reads back as v if |2 frac - 2**s| + 10**(k+1) > 2**s
+                np.abs(away, out=away)
+                away += 5 * 10**k
+                np.less_equal(away, half, out=going[k])
+                if not going[k].any():  # every text is known (short ones, such as overlap's, early)
+                    digits, side, going = digits[:k + 1], side[:k + 1], going[:k + 1]
+                    break
+        if json_text:  # a text that reads back as v still does with one more digit
+            last, at = np.add.reduce(going.view(np.uint8), axis=0), np.arange(len(frac))
+            digits[1:] *= going[:-1]  # NUL after the last digit
+            tie, carry = side[last, at] == 0, False
+            digits[last, at] += side[last, at] > 0
+        else:  # round half to even, carrying into the integer digit
+            tie, carry = False, side[-1] + (digits[-1] & 1) > 0
+            for k in range(places - 1, -1, -1):
+                digits[k] += carry
+                carry = digits[k] > ord("9")
+                digits[k][carry] = ord("0")
+        chars = np.empty((len(frac), 2 + len(digits)), dtype=np.uint32)
+        chars[:, 0], chars[:, 1], chars[:, 2:] = ord("0") + carry, ord("."), digits.T
+        part, slow = text[a:a + len(bits)], ~fast
+        part[fast] = chars.view(f"U{chars.shape[1]}").ravel().astype(object)
+        slow[fast] = tie  # the values outside the engine's range, and its ties
+        part[slow] = np.frompyfunc(repr if json_text else "{:.6f}".format, 1, 1)(bits[slow].view(np.float64))
+    return text
+
+
 def similarity_matrix(blocks, n: int, measure: str, fmt: str):
     """The ``similarity`` matrix as CSV or JSON, one row at a time, from the
     blocks of rows of :func:`~mbclust.similarity.pairwise_blocks`.
 
     Each distinct cell of a block is formatted once. Cells are keyed by
-    bit pattern, so ``-0.0`` keeps its sign. JSON floats use ``repr``,
-    which is what ``json.dumps`` writes for them.
+    bit pattern, so ``-0.0`` keeps its sign. Integer cells (``cm``) use
+    ``str``; float cells use :func:`float_text`, whose digit engine writes
+    the values in [2**-8, 1) with uint64 arithmetic, the text of ``repr``
+    for JSON (what ``json.dumps`` writes) and of ``"{:.6f}".format`` for
+    CSV, and formats the others one by one.
     """
     sep = ", " if fmt == "json" else ","
 
     def rows():
-        # Where few distinct values recur from block to block (data with few distinct rows,
-        # or few features and categories), formatting each block's values anew made the
-        # command slower than the whole-matrix writer it replaced. So the text of the values
-        # met so far is kept, sorted by key, while another block follows and it holds at
-        # most one block's cells; once it would not, nothing more is kept.
-        nothing = np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
-        (seen, seen_text), keep, done = nothing, True, 0
         for block in blocks:
-            cell = str if block.dtype.kind == "i" else repr if fmt == "json" else "{:.6f}".format
             keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-            at = np.searchsorted(seen, keys)
-            known = at < len(seen)
-            known[known] = seen[at[known]] == keys[known]
-            new = ~known
-            text = np.empty(len(keys), dtype=object)
-            text[known] = seen_text[at[known]]
-            text[new] = np.frompyfunc(cell, 1, 1)(keys[new].view(block.dtype))
-            done += len(block)
-            keep = keep and done < n and len(seen) + np.count_nonzero(new) <= similarity._BLOCK_CELLS
-            if keep:
-                seen, seen_text = np.insert(seen, at[new], keys[new]), np.insert(seen_text, at[new], text[new])
-            else:  # a view would keep the old text alive
-                seen, seen_text = nothing
+            if block.dtype.kind == "i":
+                text = np.frompyfunc(str, 1, 1)(keys.view(block.dtype))
+            else:
+                text = float_text(keys.view(np.float64), fmt)
             for cells in text[inverse.reshape(-1, n)]:
                 yield sep.join(cells.tolist())
 

@@ -10,7 +10,9 @@ in this process, with ``time.perf_counter``:
 - ``importance``: ``importance_report`` over the all-singleton profiles
   (one entity per object), as the loop's first round computes it;
 - ``run``: the clustering loop under the default configuration;
-- ``to_json`` and ``to_newick``: the dendrogram writers, on that result.
+- ``to_json`` and ``to_newick``: the dendrogram writers, on that result;
+- ``contingency``: the cross-table of that result's partition against the
+  ``label`` column, kept with the SHA-256 of its label names and counts.
 
 Each layer runs ``REPEATS`` (3) times; the minimum and the median are kept.
 After each size the script reads ``VmHWM`` (the peak resident set size of
@@ -66,7 +68,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import mbclust  # noqa: E402
-from mbclust import cli, importance_report, load_csv, run  # noqa: E402
+from mbclust import cli, contingency, importance_report, load_csv, run  # noqa: E402
 
 FEATURES = 20
 CATEGORIES = 3
@@ -174,6 +176,9 @@ def bench_size(n: int, work: Path) -> dict:
     layers["run"], result = timed(lambda: run(data))
     layers["to_json"], _ = timed(result.dendrogram.to_json)
     layers["to_newick"], _ = timed(result.dendrogram.to_newick)
+    layers["contingency"], table = timed(lambda: contingency(result.partition, data.labels))
+    table_text = json.dumps([table.label_names, table.counts.tolist()])
+    layers["contingency"]["sha256"] = hashlib.sha256(table_text.encode()).hexdigest()
     iterations, clusters = len(result.trace), len(result.partition)
     peak = peak_rss_mb()
     del data, result  # the commands run in children; free this process's copies first

@@ -233,7 +233,10 @@ def _cmd_eval(args) -> int:
         clusters = _read_assignments(args.assignments)
     else:
         clusters = dict(enumerate(run(data, _config(args)).partition, start=1))
-    table = contingency(tuple(clusters.values()), data.labels)
+    try:
+        table = contingency(tuple(clusters.values()), data.labels)
+    except ValueError as exc:  # a run's partition covers the dataset; only an assignments file can fail here
+        raise MbcError(f"{args.assignments}: {exc}") from None
 
     cells = [["label"] + [str(c) for c in clusters]] + [
         [name] + [str(int(v)) for v in counts] for name, counts in zip(table.label_names, table.counts)

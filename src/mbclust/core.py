@@ -190,17 +190,26 @@ def _member_tuples(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(members[start:end]) for start, end in zip([0] + ends[:-1], ends))
 
 
-def _labels_of(entities) -> np.ndarray:
-    """Entity index of each object, from member tuples that cover ``0..n-1``."""
+def _labels_of(entities, n=None) -> np.ndarray:
+    """Entity index of each object, from member tuples that hold each of the
+    objects ``0..n-1`` exactly once; ``n`` defaults to the number of members."""
     sizes = [len(ent) for ent in entities]
-    n = sum(sizes)
-    members = np.fromiter(chain.from_iterable(entities), dtype=np.int64, count=n)
-    labels = np.full(n, -1, dtype=np.int64)
-    if n and (members.min() < 0 or members.max() >= n):
-        raise ValueError(f"entity members outside 0..{n - 1}")
+    n = sum(sizes) if n is None else n
+    try:
+        members = np.fromiter(chain.from_iterable(entities), dtype=np.int64, count=sum(sizes))
+    except OverflowError:  # e.g. an id read from a file; it lies outside 0..n-1 whatever n is
+        members = np.array([max(chain.from_iterable(entities), key=abs)])
+    outside = (members < 0) | (members >= n)
+    if outside.any():
+        raise ValueError(f"object index {members[outside.argmax()]} outside 0..{n - 1}")
+    times = np.bincount(members, minlength=n)
+    if (times > 1).any():
+        raise ValueError(f"object {(times > 1).argmax()} is in more than one cluster; each must appear exactly once")
+    if not times.all():
+        missing = np.flatnonzero(times == 0).tolist()
+        raise ValueError(f"partition misses objects {missing[:10]}{'...' if len(missing) > 10 else ''}")
+    labels = np.empty(n, dtype=np.int64)
     labels[members] = np.repeat(np.arange(len(sizes)), sizes)
-    if (labels < 0).any():
-        raise ValueError("entities do not hold each object exactly once")
     return labels
 
 
@@ -314,8 +323,7 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
 
     The least important features are the ones with the smallest raw
     pair count under the configured measure. An empty result signals
-    termination: either all remaining features are equally important or
-    the policy would have to drop every one of them. Under the
+    termination: all remaining features are equally important. Under the
     ``pgp2-single`` policy a tie is broken in favor of the candidate
     whose removal preserves the largest share of marked similarity
     pairs, scored over the current entity profiles; any leftover tie
@@ -351,8 +359,6 @@ def select_drop(state: ClusteringState, report: ImportanceReport, config: MbcCon
         heads = list(splits.values())
         kept = pgp2_kept_counts(state.profiles, heads, config.alpha)[0] if len(heads) > 1 else [0]
         chosen = [heads[kept.index(max(kept))]]
-    if len(chosen) >= state.theta:
-        return ()
     return tuple(state.remaining_features[pos] for pos in chosen)
 
 
@@ -425,7 +431,7 @@ class Dendrogram:
             new_of_old = np.empty(len(nodes), dtype=np.intp)
             new_of_old[old] = new
             children, ends = _groups_of(new_of_old)
-            counts = np.bincount(new_of_old)
+            counts = np.diff(ends, prepend=0)
             merged = np.flatnonzero(counts > 1)
             child_nodes = tuple(nodes[children[np.repeat(counts > 1, counts)]].tolist())
             cuts = np.cumsum(counts[merged]).tolist()

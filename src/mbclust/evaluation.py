@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _labels_of
+
 
 @dataclass(frozen=True, eq=False)
 class ContingencyTable:
@@ -30,38 +32,17 @@ def contingency(partition: Sequence[Sequence[int]], labels: Sequence[str]) -> Co
     """Cross-tabulate a partition against per-object labels.
 
     ``partition`` must cover object indices ``0..len(labels)-1`` exactly
-    once; anything else raises ``ValueError``.
+    once, the check :class:`~mbclust.core.ClusteringState` makes of its
+    entities; anything else raises ``ValueError``.
     """
     labels = [str(x) for x in labels]
-    n = len(labels)
-    seen: set[int] = set()
-    total = 0
-    for members in partition:
-        for m in members:
-            m = int(m)
-            if not 0 <= m < n:
-                raise ValueError(f"object index {m} outside 0..{n - 1}")
-            if m in seen:
-                raise ValueError(f"object {m} appears in more than one cluster")
-            seen.add(m)
-            total += 1
-    if total != n:
-        missing = sorted(set(range(n)) - seen)
-        raise ValueError(f"partition misses objects {missing[:10]}{'...' if len(missing) > 10 else ''}")
-
-    label_names: list[str] = []
-    label_row: dict[str, int] = {}
-    for lab in labels:
-        if lab not in label_row:
-            label_row[lab] = len(label_names)
-            label_names.append(lab)
-
-    counts = np.zeros((len(label_names), len(partition)), dtype=np.int64)
-    for col, members in enumerate(partition):
-        for m in members:
-            counts[label_row[labels[int(m)]], col] += 1
+    cluster = _labels_of(partition, len(labels))
+    row_of = {name: row for row, name in enumerate(dict.fromkeys(labels))}
+    row = np.fromiter(map(row_of.__getitem__, labels), dtype=np.int64, count=len(labels))
+    shape = (len(row_of), len(partition))
+    counts = np.bincount(row * shape[1] + cluster, minlength=shape[0] * shape[1]).reshape(shape)
     counts.setflags(write=False)
-    return ContingencyTable(label_names=tuple(label_names), counts=counts)
+    return ContingencyTable(label_names=tuple(row_of), counts=counts)
 
 
 def purity(table: ContingencyTable) -> float:

@@ -178,8 +178,7 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
 
 
 # Cells of one block of rows of a pairwise matrix: the unit in which
-# pairwise_blocks computes and the similarity command formats and writes,
-# and the most formatted cell values the command keeps across blocks.
+# pairwise_blocks computes and the similarity command formats and writes.
 _BLOCK_CELLS = 1 << 17
 
 MEASURES = ("cm", "overlap", "goodall", "lin")

@@ -545,6 +545,22 @@ def test_eval_bad_assignments_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,1\n1\n", "row 3: expected two integers"),
+    ("0,1\n1,a\n", "row 3: expected two integers"),
+    ("0,1\n", "partition misses objects [1, 2, 3, 4, 5, 6, 7, 8, 9]"),
+    ("".join(f"{i},1\n" for i in range(11)), "object index 10 outside 0..9"),
+    ("".join(f"{i},1\n" for i in range(10)) + f"{10**20},2\n", f"object index {10**20} outside 0..9"),
+    ("".join(f"{i},1\n" for i in range(10)) + "3,2\n",
+     "object 3 is in more than one cluster; each must appear exactly once"),
+], ids=["one-field", "non-integer", "misses", "outside", "outside-int64", "repeated"])
+def test_eval_names_the_assignments_file_it_rejects(tmp_path, capsys, rows, message):
+    path = tmp_path / "assign.csv"
+    path.write_text("object,cluster\n" + rows)
+    assert main(["eval", LABELED, "--labels", "group", "--assignments", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 def test_field_over_csv_size_limit_is_data_error(tmp_path, capsys):
     big = tmp_path / "big.csv"
     big.write_text("object,cluster\n0," + "1" * 131073 + "\n")

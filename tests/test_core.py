@@ -173,6 +173,8 @@ def test_state_from_labels_equals_state_from_entities(dataset_a):
                         labels=by_entities.labels)
     with pytest.raises(ValueError, match="exactly once"):
         ClusteringState(entities=((0, 1), (1,)), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match="1-d integer array"):
+        ClusteringState(labels=np.array([0.0, 1.0]), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="labels outside"):
         ClusteringState(labels=np.array([0, 4]), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="no member"):

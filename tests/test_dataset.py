@@ -113,11 +113,19 @@ def test_constructor_validation():
         Dataset([[2]], feature_names=["a"], category_labels=[("x", "y")])
     with pytest.raises(ValueError):
         Dataset([[0]], feature_names=["a"], category_labels=[("x",)], labels=["p", "q"])
+    with pytest.raises(ValueError, match="expected 1 category code books, got 2"):
+        Dataset([[0]], feature_names=["a"], category_labels=[("x",), ("y",)])
+    for entry in (Dataset.from_codes, run, importance_report, build_sm):
+        with pytest.raises(ValueError, match="data must form a 2-D code matrix"):
+            entry([0, 1, 0])
 
 
 def test_lookup_errors(dataset_a):
     with pytest.raises(IndexError):
         dataset_a.frequency(0, 17)
+    for feature in (-1, 5):
+        with pytest.raises(IndexError, match=f"feature index {feature} out of range 0..4"):
+            dataset_a.frequency(feature, 0)
 
 
 def test_csv_missing_rejected_by_default(tmp_path):

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mbclust import ContingencyTable, contingency, misclassified, purity, run
 
@@ -30,6 +34,56 @@ def test_contingency_coverage_validation():
         contingency(((0, 1),), labels)
     with pytest.raises(ValueError, match="outside"):
         contingency(((0, 1, 2, 3),), labels)
+
+
+@st.composite
+def labelled_partitions(draw):
+    """Labels drawn with repeats and a partition of their objects, listed in
+    a random order, into clusters of which some may be empty."""
+    labels = draw(st.lists(st.sampled_from(["x", "y", "x y", "", "10"]), max_size=30))
+    n_clusters = draw(st.integers(0 if not labels else 1, 6))
+    cluster_of = draw(st.lists(st.integers(0, max(n_clusters - 1, 0)), min_size=len(labels), max_size=len(labels)))
+    partition = [[] for _ in range(n_clusters)]
+    for m in draw(st.permutations(range(len(labels)))):
+        partition[cluster_of[m]].append(m)
+    return tuple(map(tuple, partition)), labels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=labelled_partitions())
+@example(case=((), []))
+def test_contingency_equals_a_brute_force_count(case):
+    partition, labels = case
+    names = []
+    for label in labels:
+        if label not in names:
+            names.append(label)
+    count = Counter((labels[m], col) for col, members in enumerate(partition) for m in members)
+    table = contingency(partition, labels)
+    assert table.label_names == tuple(names)
+    assert table.counts.shape == (len(names), len(partition))
+    assert table.counts.tolist() == [[count[name, col] for col in range(len(partition))] for name in names]
+    assert not table.counts.flags.writeable
+    assert table.n == len(labels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=labelled_partitions(), fault=st.sampled_from(["outside", "more than one", "misses"]), data=st.data())
+def test_contingency_rejects_a_partition_that_does_not_cover_each_object_once(case, fault, data):
+    partition, labels = case
+    n = len(labels)
+    assume(n or fault == "outside")
+    clusters = [list(members) for members in partition] or [[]]
+    target = data.draw(st.sampled_from(clusters))
+    if fault == "outside":
+        target.append(data.draw(st.integers(n, n + 3) | st.integers(-3, -1) | st.just(2**70)))
+    elif fault == "more than one":
+        target.append(data.draw(st.integers(0, n - 1)))
+    else:
+        owner = data.draw(st.sampled_from([members for members in clusters if members]))
+        owner.remove(data.draw(st.sampled_from(owner)))
+    with pytest.raises(ValueError, match=fault):
+        contingency(tuple(map(tuple, clusters)), labels)
 
 
 def test_purity_and_misclassified():

@@ -71,6 +71,8 @@ def test_report_names_for_raw_codes():
     report = importance_report(np.array([[0, 1], [0, 0]]))
     assert report.feature_names == ("f0", "f1")
     assert report.match_pairs == (2, 0)
+    with pytest.raises(ValueError, match="expected 2 feature names, got 1"):
+        importance_report(np.array([[0, 1], [0, 0]]), feature_names=["a"])
 
 
 def test_degenerate_measures():

@@ -5,6 +5,7 @@ import mbclust.similarity
 from mbclust import (
     Dataset,
     DegenerateDataError,
+    SimilarityMatrix,
     build_sm,
     count_matches,
     goodall,
@@ -59,6 +60,8 @@ def test_build_sm_degenerate_shapes():
     assert one.size == 1 and one.values.size == 0
     with pytest.raises(ValueError):
         build_sm(np.zeros((3, 0), dtype=int))
+    with pytest.raises(ValueError, match=r"expected 3 condensed values for size 3, got \(2,\)"):
+        SimilarityMatrix(size=3, values=np.zeros(2, dtype=np.int64), theta=1)
 
 
 def test_update_after_drop_equals_rebuild(dataset_a):

@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Time each layer of mbclust on seeded planted data and record peak memory.
 
+First it times ``import``: ``import mbclust.cli`` in a fresh interpreter,
+``REPEATS`` times, keeping the minimum and median seconds. That import,
+numpy's included, is the part of every command's start-up that the
+package controls.
+
 For every size ``n`` the script writes one planted CSV (20 features, 3
 categories, objects drawn from 20 prototypes, 15 % of the cells of every
 column replaced by another category, plus a ``label`` column), then times
@@ -121,6 +126,25 @@ print(json.dumps({"status": status, "seconds": seconds, "peak_rss_mb": bench_lay
 """
 
 
+# Run in a fresh interpreter with the package's source folder as its argument:
+# the seconds of importing the CLI module, which imports the whole package.
+_IMPORT_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+started = time.perf_counter()
+import mbclust.cli
+print(time.perf_counter() - started)
+"""
+
+
+def bench_import() -> dict:
+    """Minimum and median seconds of ``import mbclust.cli`` over ``REPEATS`` fresh processes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    seconds = [float(subprocess.run([sys.executable, "-c", _IMPORT_CHILD, src], capture_output=True, text=True,
+                                    check=True).stdout) for _ in range(REPEATS)]
+    return {"min_s": min(seconds), "median_s": statistics.median(seconds)}
+
+
 def cli_child(argv: list[str]) -> dict:
     """Seconds and peak RSS of one mbclust command, in a fresh process."""
     proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, str(Path(__file__).resolve().parent), *argv],
@@ -199,6 +223,8 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
 
+    import_layer = bench_import()
+    print(f"import mbclust.cli {import_layer['median_s']:.4f} s", file=sys.stderr)
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:
@@ -217,6 +243,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "machine": {"platform": platform.platform(), "processor": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__, "mbclust": mbclust.__version__},
+        "import": import_layer,
         "sizes": results,
         "similarity": similarity,
     }

@@ -150,7 +150,8 @@ class ClusteringState:
             raise ValueError(f"labels outside 0..{e - 1}")
         if not self.sizes.all():
             raise ValueError("an entity has no member")
-        if self.frozen and (min(self.frozen) < 0 or max(self.frozen) >= e):
+        frozen = np.array([*self.frozen])  # not integer-typed when an index is no int, e.g. 0.5, or past int64
+        if len(frozen) and (frozen.dtype.kind not in "iu" or frozen.min() < 0 or frozen.max() >= e):
             raise ValueError(f"frozen entity indices {sorted(self.frozen)} outside 0..{e - 1}")
 
     @property
@@ -195,13 +196,15 @@ def _labels_of(entities, n=None) -> np.ndarray:
     objects ``0..n-1`` exactly once; ``n`` defaults to the number of members."""
     sizes = [len(ent) for ent in entities]
     n = sum(sizes) if n is None else n
-    try:
-        members = np.fromiter(chain.from_iterable(entities), dtype=np.int64, count=sum(sizes))
-    except OverflowError:  # e.g. an id read from a file; it lies outside 0..n-1 whatever n is
-        members = np.array([max(chain.from_iterable(entities), key=abs)])
+    members = np.array(flat := [*chain.from_iterable(entities)])
+    if members.dtype.kind not in "iu":  # no members, non-integers, or an int past int64 (typed float or object)
+        try:  # clipped to -1..n, each int outside 0..n-1 stays outside
+            members = np.array([min(max(operator.index(m), -1), n) for m in flat], dtype=np.int64)
+        except TypeError:
+            raise ValueError(f"object indices must be integers, got {members.dtype} values") from None
     outside = (members < 0) | (members >= n)
     if outside.any():
-        raise ValueError(f"object index {members[outside.argmax()]} outside 0..{n - 1}")
+        raise ValueError(f"object index {flat[outside.argmax()]} outside 0..{n - 1}")
     times = np.bincount(members, minlength=n)
     if (times > 1).any():
         raise ValueError(f"object {(times > 1).argmax()} is in more than one cluster; each must appear exactly once")
@@ -399,7 +402,7 @@ class Dendrogram:
     anti_merge_used: bool = False
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.intp).reshape(len(self.labels), self.n_leaves)
+        labels = as_codes(np.array(self.labels).reshape(len(self.labels), self.n_leaves))
         if len(labels) and (labels[0] != np.arange(self.n_leaves)).any():
             raise ValueError("level 0 must be the all-singleton partition")
         # Each level numbers its entities by first appearance (no label negative or more than one above all

@@ -8,6 +8,7 @@ A dataset is immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import csv
+import operator
 from array import array
 from pathlib import Path
 
@@ -27,14 +28,16 @@ _MISSING_LABEL = "?"
 def as_codes(data) -> np.ndarray:
     """The int64 (n, m) code matrix of a :class:`Dataset` or a 2-D array-like.
 
-    Float input, also floats in an object array, must hold integers: ``ValueError`` names
-    the first cell that is fractional, not finite or outside int64, instead of casting it.
+    Float input, also floats in an object array, must hold integers: ``ValueError`` names the first cell that
+    is fractional, not finite or outside int64, instead of casting it; text and complex dtypes are refused.
     """
     codes = np.asarray(getattr(data, "codes_matrix", data))
     if codes.dtype.kind == "O":  # e.g. a mixed-type frame: let numpy type the cells, so floats get checked
         codes = np.array(codes.tolist())
     if codes.ndim != 2:
         raise ValueError("data must form a 2-D code matrix")
+    if codes.dtype.kind not in "biufO":  # a cast would parse text ("01" is 1) and drop imaginary parts
+        raise ValueError(f"each cell holds a {codes.dtype} value, which is not an integer code")
     if codes.dtype.kind in "fO":
         real = codes.astype(np.float64, copy=False)
         bad = (real != np.floor(real)) | (real < -2.0**63) | (real >= 2.0**63)
@@ -42,6 +45,19 @@ def as_codes(data) -> np.ndarray:
             row, col = np.argwhere(bad)[0].tolist()
             raise ValueError(f"cell ({row}, {col}) holds {codes[row, col]}, which is not an integer code")
     return codes.astype(np.int64, copy=False)
+
+
+def column_indices(indices, m: int, what: str = "feature index") -> list[int]:
+    """The ints of ``indices``: ``ValueError`` for a non-integer (``1.5``, ``"1"``), ``IndexError`` outside 0..m-1."""
+    columns = []
+    for value in indices:
+        try:
+            columns.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{what} {value!r} is not an integer") from None
+        if not 0 <= columns[-1] < m:
+            raise IndexError(f"{what} {columns[-1]} out of range 0..{m - 1}")
+    return columns
 
 
 class Dataset:
@@ -80,11 +96,9 @@ class Dataset:
         self.cells.setflags(write=False)
 
         freqs = []
-        for i in range(m):
-            k = len(self.category_labels[i])
-            column = cells[:, i]
-            if k == 0 or column.min() < 0 or column.max() >= k:
-                raise ValueError(f"feature {self.feature_names[i]!r}: cell code outside 0..{k - 1}")
+        for name, k, column in zip(self.feature_names, map(len, self.category_labels), cells.T):
+            if column.min() < 0 or column.max() >= k:
+                raise ValueError(f"feature {name!r}: " + (f"cell code outside 0..{k - 1}" if k else "no categories"))
             counts = np.bincount(column, minlength=k)
             counts.setflags(write=False)
             freqs.append(counts)
@@ -129,23 +143,17 @@ class Dataset:
 
     def frequency(self, feature: int, category: int) -> int:
         """Occurrence count f(c) of one category of one feature."""
-        counts = self._frequencies[self._check_feature(feature)]
-        if not 0 <= category < len(counts):
-            raise IndexError(f"category code {category} out of range for feature {self.feature_names[feature]!r}")
+        counts = self.frequencies_for(feature)
+        (category,) = column_indices([category], len(counts), f"feature {self.feature_names[feature]!r}: category code")
         return int(counts[category])
 
     def frequencies_for(self, feature: int) -> np.ndarray:
         """All category counts of one feature (read-only, indexed by code)."""
-        return self._frequencies[self._check_feature(feature)]
+        return self._frequencies[column_indices([feature], self.m)[0]]
 
     def row(self, i: int) -> tuple[int, ...]:
         """Code tuple of one object."""
         return tuple(int(c) for c in self.cells[i])
-
-    def _check_feature(self, feature: int) -> int:
-        if not 0 <= feature < self.m:
-            raise IndexError(f"feature index {feature} out of range 0..{self.m - 1}")
-        return feature
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, m={self.m})"

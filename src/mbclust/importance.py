@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import as_codes
+from .dataset import as_codes, column_indices
 from .errors import DegenerateDataError
 
 # Cells (pairs of rows) per block of the pgp2_kept_counts sweep; bounds
@@ -146,9 +146,7 @@ def pgp2_kept_counts(data, candidates: Iterable[int], alpha: float = 0.0) -> tup
     e, f = codes.shape
     if f == 0:
         raise ValueError("profiles carry no features")
-    drop = [int(c) for c in candidates]
-    if any(not 0 <= c < f for c in drop):
-        raise IndexError(f"candidate column out of range 0..{f - 1}")
+    drop = column_indices(candidates, f, "candidate column")
     # Every pair is marked below this range and none above it.
     t = min(max(math.floor(alpha) + 1, 0), f + 1)
     # Renumbering each column densely keeps equal codes equal and lets its

@@ -30,19 +30,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import as_codes
+from .dataset import as_codes, column_indices
 from .errors import DegenerateDataError
 
 
 def _feature_list(x: Sequence[int], y: Sequence[int], features) -> list[int]:
     if len(x) != len(y):
         raise ValueError(f"objects disagree on length: {len(x)} vs {len(y)}")
-    feats = list(range(len(x))) if features is None else [int(f) for f in features]
+    feats = column_indices(range(len(x)) if features is None else features, len(x))
     if not feats:
         raise ValueError("empty feature set")
-    for f in feats:
-        if not 0 <= f < len(x):
-            raise IndexError(f"feature index {f} out of range 0..{len(x) - 1}")
     return feats
 
 
@@ -163,16 +160,10 @@ def update_sm_after_drop(sm: SimilarityMatrix, profiles, dropped: Iterable[int])
         raise ValueError(f"matrix covers {sm.size} entities but profiles have {e}")
     if sm.theta != f:
         raise ValueError(f"matrix counts {sm.theta} features but profiles have {f}")
-    drop = sorted({int(d) for d in dropped})
-    if not drop:
-        values = sm.values.copy()
-        values.setflags(write=False)
-        return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta)
-    if drop[0] < 0 or drop[-1] >= f:
-        raise IndexError(f"dropped column out of range 0..{f - 1}")
+    drop = sorted(set(column_indices(dropped, f, "dropped column")))
     if len(drop) >= f:
         raise ValueError("must drop a proper subset of the feature columns")
-    values = sm.values - build_sm(codes[:, drop]).values
+    values = sm.values - (build_sm(codes[:, drop]).values if drop else 0)
     values.setflags(write=False)
     return SimilarityMatrix(size=sm.size, values=values, theta=sm.theta - len(drop))
 

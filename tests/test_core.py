@@ -173,6 +173,8 @@ def test_state_from_labels_equals_state_from_entities(dataset_a):
                         labels=by_entities.labels)
     with pytest.raises(ValueError, match="exactly once"):
         ClusteringState(entities=((0, 1), (1,)), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match="must be integers"):  # a cast would make 0.9 object 0
+        ClusteringState(entities=((0.9,), (1,)), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="1-d integer array"):
         ClusteringState(labels=np.array([0.0, 1.0]), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="labels outside"):
@@ -181,7 +183,7 @@ def test_state_from_labels_equals_state_from_entities(dataset_a):
         ClusteringState(labels=np.array([0, 0]), profiles=profiles[:2], remaining_features=(0, 1, 2, 3, 4))
 
 
-@pytest.mark.parametrize("frozen", [{-1}, {4}, {0, 4}, {np.int64(-2), 3}])
+@pytest.mark.parametrize("frozen", [{-1}, {4}, {0, 4}, {np.int64(-2), 3}, {0.5}, {1, 2.0}])
 def test_state_rejects_frozen_outside_entities(frozen):
     message = f"frozen entity indices {sorted(frozen)} outside 0..3"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -485,6 +487,9 @@ def test_dendrogram_checks_its_labels():
         Dendrogram(n_leaves=2, labels=[[0, 0]])
     with pytest.raises(ValueError):
         Dendrogram(n_leaves=3, labels=[[0, 1]])
+    for label, held in ((0.7, "holds 0.7"), ("1", "holds a <U21 value")):  # a cast would store 0 and 1
+        with pytest.raises(ValueError, match=held):
+            Dendrogram(n_leaves=2, labels=[[0, 1], [0, label]])
     labels = np.array([[0, 1], [0, 0]])
     dendro = Dendrogram(n_leaves=2, labels=labels)
     labels[1, 1] = 1

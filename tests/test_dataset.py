@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbclust import CsvError, Dataset, build_sm, importance_report, load_csv, run
+from mbclust import (CsvError, Dataset, build_sm, count_matches, importance_report, load_csv, pgp2_kept_counts, run,
+                     update_sm_after_drop)
 from conftest import DATA_DIR
 
 
@@ -88,7 +91,9 @@ FRACTIONAL = np.array([[0.2, 1], [0.7, 1], [1.0, 0], [1.9, 0]])
     (np.array([[0, 1], [2.0**63, 0]]), r"\(1, 0\) holds 9.22\d*e\+18"),
     (FRACTIONAL.astype(object), r"\(0, 0\) holds 0.2"),  # e.g. np.asarray of a mixed-type frame
     (np.array([[0, 1], [1, 0.7]], dtype=object), r"\(1, 1\) holds 0.7"),
-], ids=["fractional", "nan", "-inf", "2**63", "object", "object-mixed"])
+    (np.array([["1", "0"], ["01", "1"]]), "each cell holds a <U2 value"),  # a cast makes "01" and "1" one code
+    (np.array([[1, 0], [1 + 1j, 0]]), "each cell holds a complex128 value"),  # a cast drops the imaginary part
+], ids=["fractional", "nan", "-inf", "2**63", "object", "object-mixed", "text", "complex"])
 def test_float_codes_must_be_integers(entry, codes, cell):
     # A cast would make 0.2 and 0.7 one category and NaN a huge negative code.
     with pytest.raises(ValueError, match=cell + ", which is not an integer code"):
@@ -115,6 +120,8 @@ def test_constructor_validation():
         Dataset([[0]], feature_names=["a"], category_labels=[("x",)], labels=["p", "q"])
     with pytest.raises(ValueError, match="expected 1 category code books, got 2"):
         Dataset([[0]], feature_names=["a"], category_labels=[("x",), ("y",)])
+    with pytest.raises(ValueError, match="feature 'a': no categories"):
+        Dataset([[0]], feature_names=["a"], category_labels=[()])
     for entry in (Dataset.from_codes, run, importance_report, build_sm):
         with pytest.raises(ValueError, match="data must form a 2-D code matrix"):
             entry([0, 1, 0])
@@ -126,6 +133,38 @@ def test_lookup_errors(dataset_a):
     for feature in (-1, 5):
         with pytest.raises(IndexError, match=f"feature index {feature} out of range 0..4"):
             dataset_a.frequency(feature, 0)
+    for feature in (1.0, "1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            dataset_a.frequencies_for(feature)
+    with pytest.raises(ValueError, match="category code 0.5 is not an integer"):
+        dataset_a.frequency(0, 0.5)
+
+
+# The entry points that take column indices, each called with one index over a code matrix.
+COLUMN_INDEX_ENTRIES = {
+    "frequencies_for": lambda codes, i: Dataset.from_codes(codes).frequencies_for(i).tolist(),
+    "count_matches": lambda codes, i: count_matches(codes[0], codes[1], features=[i]),
+    "pgp2_kept_counts": lambda codes, i: pgp2_kept_counts(codes, [i]),
+    "update_sm_after_drop": lambda codes, i: update_sm_after_drop(build_sm(codes), codes, [i]).values.tolist(),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(entry=st.sampled_from(sorted(COLUMN_INDEX_ENTRIES)),
+       codes=st.integers(2, 4).flatmap(lambda m: st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m),
+                                                          min_size=2, max_size=5)).map(np.array),
+       index=st.integers(-3, 6) | st.floats() | st.floats().map(np.float64) | st.text(max_size=2))
+def test_column_index_entry_points_share_one_check(entry, codes, index):
+    call = COLUMN_INDEX_ENTRIES[entry]
+    if isinstance(index, (float, str)):  # also integral floats such as 1.0
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(codes, index)
+    elif not 0 <= index < codes.shape[1]:
+        for same in (index, np.int64(index)):
+            with pytest.raises(IndexError, match=f"{index} out of range 0..{codes.shape[1] - 1}"):
+                call(codes, same)
+    else:
+        assert call(codes, np.int64(index)) == call(codes, np.intp(index)) == call(codes, index)
 
 
 def test_csv_missing_rejected_by_default(tmp_path):

@@ -34,6 +34,10 @@ def test_contingency_coverage_validation():
         contingency(((0, 1),), labels)
     with pytest.raises(ValueError, match="outside"):
         contingency(((0, 1, 2, 3),), labels)
+    with pytest.raises(ValueError, match="must be integers"):  # a cast would count 0.5 as object 0
+        contingency(((0.5, 1), (2,)), labels)
+    with pytest.raises(ValueError, match=f"object index {2**63} outside"):  # numpy types it float64 among ints
+        contingency(((0, 1, 2), (2**63,)), labels)
 
 
 @st.composite

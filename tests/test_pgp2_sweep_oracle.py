@@ -227,6 +227,9 @@ def test_argument_errors():
         pgp2_kept_counts(rows([0, 1], [0, 1]), (2,))
     with pytest.raises(IndexError):
         pgp2_kept_counts(rows([0, 1], [0, 1]), (-1,))
+    for candidate in (1.5, "1"):  # a cast would score column 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            pgp2_kept_counts(rows([0, 1], [0, 1]), [candidate])
     with pytest.raises(ValueError, match="no features"):
         pgp2_kept_counts(np.zeros((3, 0), dtype=np.int64), ())
 

@@ -43,6 +43,8 @@ def test_pair_argument_errors():
         overlap((0, 1), (0, 1), features=[])
     with pytest.raises(IndexError):
         count_matches((0, 1), (0, 1), features=[2])
+    with pytest.raises(ValueError, match="feature index 0.5 is not an integer"):
+        count_matches((0, 1), (1, 1), features=[0.5])
 
 
 def test_match_count_matrix_on_example(dataset_a):
@@ -99,6 +101,8 @@ def test_update_after_drop_edge_cases(dataset_a):
         update_sm_after_drop(sm, codes, range(5))
     with pytest.raises(IndexError):
         update_sm_after_drop(sm, codes, [7])
+    with pytest.raises(ValueError, match="dropped column 0.9 is not an integer"):
+        update_sm_after_drop(sm, codes, [0.9])
     with pytest.raises(ValueError):
         update_sm_after_drop(sm, codes[:, :4], [0])
     with pytest.raises(ValueError):

@@ -16,6 +16,10 @@ in this process, with ``time.perf_counter``:
   (one entity per object), as the loop's first round computes it;
 - ``run``: the clustering loop under the default configuration;
 - ``to_json`` and ``to_newick``: the dendrogram writers, on that result;
+  ``to_json`` joins the pieces of ``writers.dendrogram_json``, the text
+  that ``cluster --dendrogram-out`` writes;
+- ``to_dict``: ``Dendrogram.to_dict`` of that result, the call that
+  perfbench's ``redundant-ids`` workload times;
 - ``contingency``: the cross-table of that result's partition against the
   ``label`` column, kept with the SHA-256 of its label names and counts.
 
@@ -73,7 +77,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import mbclust  # noqa: E402
-from mbclust import cli, contingency, importance_report, load_csv, run  # noqa: E402
+from mbclust import cli, contingency, importance_report, load_csv, run, writers  # noqa: E402
 
 FEATURES = 20
 CATEGORIES = 3
@@ -198,8 +202,9 @@ def bench_size(n: int, work: Path) -> dict:
     layers["load_csv"], data = timed(lambda: load_csv(csv_path, label_column="label"))
     layers["importance"], _ = timed(lambda: importance_report(data))
     layers["run"], result = timed(lambda: run(data))
-    layers["to_json"], _ = timed(result.dendrogram.to_json)
+    layers["to_json"], _ = timed(lambda: "".join(writers.dendrogram_json(result.dendrogram)))
     layers["to_newick"], _ = timed(result.dendrogram.to_newick)
+    layers["to_dict"], _ = timed(result.dendrogram.to_dict)
     layers["contingency"], table = timed(lambda: contingency(result.partition, data.labels))
     table_text = json.dumps([table.label_names, table.counts.tolist()])
     layers["contingency"]["sha256"] = hashlib.sha256(table_text.encode()).hexdigest()

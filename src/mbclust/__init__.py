@@ -21,7 +21,6 @@ from .core import (
     MbcResult,
     MergeEvent,
     anti_merge_update,
-    cut_at_k,
     group_matching,
     initial_state,
     run,
@@ -45,7 +44,7 @@ from .similarity import (
     goodall,
     lin,
     overlap,
-    pairwise_matrix,
+    pairwise_blocks,
     update_sm_after_drop,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "build_sm",
     "contingency",
     "count_matches",
-    "cut_at_k",
     "goodall",
     "group_matching",
     "importance_report",
@@ -85,7 +83,7 @@ __all__ = [
     "match_pair_counts",
     "misclassified",
     "overlap",
-    "pairwise_matrix",
+    "pairwise_blocks",
     "pgp",
     "pgp2_kept_counts",
     "ppp",

@@ -32,7 +32,6 @@ from itertools import chain
 import numpy as np
 
 from .dataset import Dataset, as_codes
-from .errors import MbcError
 from .importance import ImportanceReport, finite_alpha, importance_report, pgp2_kept_counts
 
 IMPORTANCE_PGP = "pgp"
@@ -474,6 +473,7 @@ class Dendrogram:
         )
 
     def to_dict(self) -> dict:
+        """Levels as member lists and merges as dicts: the data :func:`mbclust.writers.dendrogram_json` writes."""
         objects = np.arange(self.n_leaves).astype(object)  # one int per object, shared by every level
 
         def member_lists(labels):
@@ -490,40 +490,11 @@ class Dendrogram:
                        for idx, parent, children in formed)
         return {"n_leaves": self.n_leaves, "levels": levels, "merges": merges, "anti_merge_used": self.anti_merge_used}
 
-    def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_dict(), indent=2)``, from :func:`mbclust.writers.dendrogram_json`."""
-        from .writers import dendrogram_json  # here, as writers imports core
-
-        return "".join(dendrogram_json(self))
-
     def to_newick(self) -> str:
         """Newick rendering, from :func:`mbclust.writers.newick`."""
         from .writers import newick
 
         return "".join(newick(self))
-
-
-def _cut_level(dendrogram: Dendrogram, k: int) -> int:
-    """Index of the level that :func:`cut_at_k` returns."""
-    k = cluster_count(k)
-    if not len(dendrogram.labels):
-        raise ValueError("dendrogram has no levels")
-    if dendrogram.anti_merge_used:
-        raise MbcError("dendrogram was censored by the containment rule; rerun with anti_merge=False")
-    sizes = dendrogram.level_sizes
-    return min(range(len(sizes)), key=lambda p: (abs(sizes[p] - k), -p))
-
-
-def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
-    """Partition whose cluster count is closest to ``k``.
-
-    ``k`` follows the rule of ``MbcConfig.k``. A tie in closeness goes
-    to the coarser level. The level is chosen by its size, and only its
-    member tuples are built. Refuses dendrograms
-    censored by the containment rule, because their levels misstate the
-    merge history.
-    """
-    return _member_tuples(dendrogram.labels[_cut_level(dendrogram, k)])
 
 
 @dataclass(frozen=True)
@@ -587,7 +558,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
     important features. A round that merged nothing hands the next its
     pair counts at the kept features, as the entities are the same. With
     ``config.k`` set, the returned partition is the dendrogram level
-    closest to ``k`` clusters instead of the loop's final state.
+    closest to ``k`` clusters, the coarser of two equally close.
     """
     config = (config or MbcConfig()).validated()
     if not hasattr(data, "codes_matrix"):
@@ -628,5 +599,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
                 state = frozen
 
     dendrogram = Dendrogram(n_leaves=len(labels[0]), labels=labels, anti_merge_used=anti_merge_used)
-    level = len(labels) - 1 if config.k is None else _cut_level(dendrogram, config.k)
+    level = len(labels) - 1
+    if config.k is not None:
+        level = min(range(len(labels)), key=lambda p: (abs(dendrogram.level_sizes[p] - config.k), -p))
     return MbcResult(dendrogram, level, tuple(trace), config, stop_reason)

@@ -52,6 +52,8 @@ def column_indices(indices, m: int, what: str = "feature index") -> list[int]:
     columns = []
     for value in indices:
         try:
+            if isinstance(value, bool):  # an int to Python, but True is no column index
+                raise TypeError
             columns.append(operator.index(value))
         except TypeError:
             raise ValueError(f"{what} {value!r} is not an integer") from None
@@ -114,11 +116,12 @@ class Dataset:
         so cost depends on the matrix size and not on the code values.
         The dataset carries no object labels.
         """
+        unsigned = np.asarray(codes).dtype.kind == "u"  # as_codes wraps codes past int64; uint64 reads them back
         codes = as_codes(codes)
         compact = np.empty_like(codes)
         category_labels = []
-        for i in range(codes.shape[1]):
-            values, compact[:, i] = np.unique(codes[:, i], return_inverse=True)
+        for i, column in enumerate((codes.view(np.uint64) if unsigned else codes).T):
+            values, compact[:, i] = np.unique(column, return_inverse=True)
             category_labels.append(tuple(f"c{c}" for c in values))
         return cls(compact, tuple(f"f{i}" for i in range(codes.shape[1])), category_labels)
 

@@ -17,9 +17,8 @@ Pairwise similarity is kept in two forms:
 measures, or as raw match counts, one block of rows at a time; each
 block adds the features in order, gathering each feature's terms from
 small tables indexed by category frequency, and holds about
-``_BLOCK_CELLS`` cells whatever n is. :func:`pairwise_matrix`
-fills the square matrix from those blocks. Both give the same values,
-bit for bit, as the single-pair functions.
+``_BLOCK_CELLS`` cells whatever n is. Its values equal, bit for bit,
+those of the single-pair functions.
 """
 
 from __future__ import annotations
@@ -226,12 +225,15 @@ class _Feature:
 
 
 def pairwise_blocks(data, measure: str):
-    """The rows of :func:`pairwise_matrix`, one new array per block, top to bottom.
+    """The rows of the full square similarity matrix of a dataset, one new array per block, top to bottom.
 
-    Each block scores rows ``a..b`` against all n objects, about
-    ``_BLOCK_CELLS`` cells (at least one row), adding the features in
-    order. Every error of the measure is raised by this call, before the
-    first block is computed.
+    ``measure`` is one of ``cm`` (integer match counts), ``overlap``,
+    ``goodall`` or ``lin``; entry ``(i, j)`` equals the single-pair score
+    of rows ``i`` and ``j`` bit for bit. Each block scores rows ``a..b``
+    against all n objects, about ``_BLOCK_CELLS`` cells (at least one
+    row), adding the features in order, so only one block and its
+    temporaries are held. Every error of the measure is raised by this
+    call, before the first block is computed.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -260,23 +262,3 @@ def pairwise_blocks(data, measure: str):
 
     return blocks()
 
-
-def pairwise_matrix(data, measure: str) -> np.ndarray:
-    """Full square similarity matrix of a dataset under a named measure.
-
-    ``measure`` is one of ``cm`` (integer match counts), ``overlap``,
-    ``goodall`` or ``lin``. Intended for inspection and export; the
-    clustering loop needs neither this matrix nor
-    :class:`SimilarityMatrix`. The matrix is filled from the blocks of
-    :func:`pairwise_blocks`, so entry ``(i, j)`` equals the single-pair
-    score of rows ``i`` and ``j`` bit for bit, the same errors are
-    raised, and besides the result only one block and its temporaries
-    are held.
-    """
-    out, a = None, 0
-    for block in pairwise_blocks(data, measure):
-        if out is None:
-            out = np.empty((data.n, data.n), dtype=block.dtype)
-        out[a:a + len(block)] = block
-        a += len(block)
-    return out

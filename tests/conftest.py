@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbclust import load_csv
+import mbclust.similarity
+from mbclust import load_csv, pairwise_blocks
 
 DATA_DIR = Path(__file__).parent / "data"
 SOYBEAN_CSV = DATA_DIR / "soybean-small.csv"
@@ -33,6 +34,15 @@ def d42():
 @pytest.fixture(scope="session")
 def dataset_a_labeled():
     return load_csv(DATA_DIR / "dataset_a_labeled.csv", label_column="group")
+
+
+def stacked_blocks(data, measure: str) -> np.ndarray:
+    """The square matrix of ``pairwise_blocks``, whose every block must span all n
+    columns and hold at most ``_BLOCK_CELLS`` cells, or one row."""
+    blocks = list(pairwise_blocks(data, measure))
+    for block in blocks:
+        assert block.shape[1] == data.n and (block.size <= mbclust.similarity._BLOCK_CELLS or len(block) == 1)
+    return np.concatenate(blocks)
 
 
 def random_codes(rng: np.random.Generator, max_n: int = 50, max_m: int = 10, max_k: int = 5) -> np.ndarray:

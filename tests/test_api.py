@@ -34,7 +34,6 @@ PUBLIC = {
     "build_sm",
     "contingency",
     "count_matches",
-    "cut_at_k",
     "goodall",
     "group_matching",
     "importance_report",
@@ -44,7 +43,7 @@ PUBLIC = {
     "match_pair_counts",
     "misclassified",
     "overlap",
-    "pairwise_matrix",
+    "pairwise_blocks",
     "pgp",
     "pgp2_kept_counts",
     "ppp",

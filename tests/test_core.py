@@ -10,12 +10,10 @@ from mbclust import (
     ClusteringState,
     Dendrogram,
     MbcConfig,
-    MbcError,
     STOP_ALL_CLUSTERED,
     STOP_TIED_IMPORTANCE,
     anti_merge_update,
     build_sm,
-    cut_at_k,
     group_matching,
     importance_report,
     initial_state,
@@ -30,7 +28,6 @@ from oracles import (
     PARTITION_A,
     SM_A_AFTER_FIRST_DROP,
     SM_A_AFTER_SECOND_DROP,
-    labels_of_levels,
 )
 
 
@@ -444,31 +441,18 @@ def test_run_with_k(dataset_a):
     assert len(run(dataset_a, MbcConfig(k=6)).partition) == 4
 
 
-def test_cut_at_k_validation(dataset_a):
-    censored = run(dataset_a).dendrogram
-    with pytest.raises(MbcError):
-        cut_at_k(censored, 2)
-    open_dendro = run(dataset_a, MbcConfig(anti_merge=False)).dendrogram
-    with pytest.raises(ValueError):
-        cut_at_k(open_dendro, 0)
-    empty = Dendrogram(n_leaves=0, labels=labels_of_levels((), 0))
-    with pytest.raises(ValueError):
-        cut_at_k(empty, 1)
-
-
 @pytest.mark.parametrize("k", [True, 2.5, np.float64(2.0), "2"])
 def test_cut_at_k_follows_the_config_k_rule(dataset_a, k):
-    dendro = run(dataset_a, MbcConfig(anti_merge=False)).dendrogram
     message = re.escape(f"k must be an integer, got {k!r}")
     with pytest.raises(ValueError, match=message):
         MbcConfig(k=k).validated()
     with pytest.raises(ValueError, match=message):
-        cut_at_k(dendro, k)
-    assert cut_at_k(dendro, np.int64(2)) == cut_at_k(dendro, 2)
+        run(dataset_a, MbcConfig(k=k))
+    by_int64, by_int = run(dataset_a, MbcConfig(k=np.int64(2))), run(dataset_a, MbcConfig(k=2))
+    assert (by_int64.level, by_int64.partition) == (by_int.level, by_int.partition)
 
 
 def test_cut_at_k_builds_one_level(dataset_a, monkeypatch):
-    dendro = run(dataset_a, MbcConfig(anti_merge=False)).dendrogram
     built = []
     member_tuples = mbclust.core._member_tuples
 
@@ -477,7 +461,9 @@ def test_cut_at_k_builds_one_level(dataset_a, monkeypatch):
         return member_tuples(labels)
 
     monkeypatch.setattr(mbclust.core, "_member_tuples", counting)
-    assert cut_at_k(dendro, 3) == ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9))
+    result = run(dataset_a, MbcConfig(k=3))
+    dendro = result.dendrogram
+    assert result.partition == ((0, 1, 2, 3), (4, 5, 6, 7, 8, 9))
     assert len(built) == 1 and np.array_equal(built[0], dendro.labels[3])  # sizes 10, 8, 4, 2; ties go coarser
     assert "levels" not in vars(dendro) and "merge_events" not in vars(dendro)
 

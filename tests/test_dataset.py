@@ -71,6 +71,9 @@ def test_from_codes_compacts_sparse_codes():
     sparse = Dataset.from_codes([[0, 1], [3_000_000, 0], [5, 1]])
     assert sparse.category_labels[0] == ("c0", "c5", "c3000000")
     assert np.array_equal(sparse.codes_matrix, [[0, 1], [2, 0], [1, 1]])
+    past_int64 = Dataset.from_codes(np.array([[2**64 - 1], [0]], dtype=np.uint64))  # ordered and named unsigned
+    assert past_int64.category_labels == (("c0", "c18446744073709551615"),)
+    assert np.array_equal(past_int64.codes_matrix, [[1], [0]])
     assert run(np.array([[0, 1], [3_000_000, 0], [5, 1]])).partition == ((0, 2), (1,))
 
 
@@ -133,8 +136,8 @@ def test_lookup_errors(dataset_a):
     for feature in (-1, 5):
         with pytest.raises(IndexError, match=f"feature index {feature} out of range 0..4"):
             dataset_a.frequency(feature, 0)
-    for feature in (1.0, "1"):
-        with pytest.raises(ValueError, match="is not an integer"):
+    for feature in (1.0, "1", True):  # True is an int to Python, and would read column 1
+        with pytest.raises(ValueError, match=f"feature index {feature!r} is not an integer"):
             dataset_a.frequencies_for(feature)
     with pytest.raises(ValueError, match="category code 0.5 is not an integer"):
         dataset_a.frequency(0, 0.5)
@@ -153,10 +156,10 @@ COLUMN_INDEX_ENTRIES = {
 @given(entry=st.sampled_from(sorted(COLUMN_INDEX_ENTRIES)),
        codes=st.integers(2, 4).flatmap(lambda m: st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m),
                                                           min_size=2, max_size=5)).map(np.array),
-       index=st.integers(-3, 6) | st.floats() | st.floats().map(np.float64) | st.text(max_size=2))
+       index=st.integers(-3, 6) | st.floats() | st.floats().map(np.float64) | st.text(max_size=2) | st.booleans())
 def test_column_index_entry_points_share_one_check(entry, codes, index):
     call = COLUMN_INDEX_ENTRIES[entry]
-    if isinstance(index, (float, str)):  # also integral floats such as 1.0
+    if isinstance(index, (float, str, bool)):  # also integral floats such as 1.0
         with pytest.raises(ValueError, match="is not an integer"):
             call(codes, index)
     elif not 0 <= index < codes.shape[1]:

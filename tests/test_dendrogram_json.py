@@ -1,4 +1,4 @@
-"""``Dendrogram.to_json`` against its oracle, ``json.dumps(to_dict(), indent=2)``.
+"""``writers.dendrogram_json`` against its oracle, ``json.dumps(to_dict(), indent=2)``.
 
 The writer renders each object number once and joins the levels and
 merges straight from the level labels with fixed separators, so its text
@@ -22,8 +22,12 @@ from oracles import labels_of_levels
 from test_equivalence import GRID, code_matrices
 
 
+def to_json(dendrogram) -> str:
+    return "".join(writers.dendrogram_json(dendrogram))
+
+
 def assert_oracle_text(dendrogram):
-    assert dendrogram.to_json() == json.dumps(dendrogram.to_dict(), indent=2)
+    assert to_json(dendrogram) == json.dumps(dendrogram.to_dict(), indent=2)
 
 
 @pytest.mark.parametrize("measure, ties, anti_merge", GRID)
@@ -62,7 +66,7 @@ def test_to_json_of_merges_numbered_past_8_bits():
     level[598:] = 255, 256
     dendrogram = Dendrogram(n_leaves=600, labels=[np.arange(600), level])
     assert_oracle_text(dendrogram)
-    assert json.loads(dendrogram.to_json())["merges"] == [
+    assert json.loads(to_json(dendrogram))["merges"] == [
         {"iteration": 0, "parent": 600, "children": [255, 598], "members": [255, 598]},
         {"iteration": 0, "parent": 601, "children": [256, 599], "members": [256, 599]},
     ]

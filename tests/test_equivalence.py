@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import matrix_loop
 import mbclust.core
-from mbclust import MbcConfig, run
+from mbclust import MbcConfig, run, writers
 
 
 @st.composite
@@ -137,4 +137,4 @@ def assert_run_equals_matrix_loop(codes, config):
     assert dendrogram.level_sizes == tuple(map(len, reference.levels))
     assert [(ev.iteration, ev.parent, ev.children, ev.members) for ev in dendrogram.merge_events] == \
         [(ev.iteration, ev.parent, ev.children, ev.members) for ev in reference.merge_events]
-    assert dendrogram.to_json() == json.dumps(reference.to_dict(), indent=2)
+    assert "".join(writers.dendrogram_json(dendrogram)) == json.dumps(reference.to_dict(), indent=2)

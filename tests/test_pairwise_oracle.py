@@ -1,11 +1,12 @@
 """The square similarity matrices against the per-pair reference.
 
 ``pairwise_loop.pairwise_matrix`` scores every pair with the single-pair
-``goodall`` and ``lin``; ``mbclust.pairwise_matrix`` gathers per-feature
-lookup tables in blocks of rows. Every draw runs in one block of all
-rows, where every category is held in the block, and in blocks of one
-row, where one is. Every matrix must be bit-identical, and where the reference raises, the
-library must raise the same exception type with the same message.
+``goodall`` and ``lin``; ``mbclust.pairwise_blocks`` gathers per-feature
+lookup tables in blocks of rows, which are stacked here. Every draw runs
+in one block of all rows, where every category is held in the block, and
+in blocks of one row, where one is. Every matrix must be bit-identical,
+and where the reference raises, the call to ``pairwise_blocks`` itself,
+before any block, must raise the same exception type with the same message.
 """
 
 from unittest import mock
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 import mbclust.similarity
 import pairwise_loop
-from mbclust import Dataset, pairwise_matrix
+from mbclust import Dataset, pairwise_blocks
+from conftest import stacked_blocks
 from test_equivalence import code_matrices
 
 
@@ -69,11 +71,11 @@ def assert_equals_per_pair_loop(data, measure):
         with mock.patch.object(mbclust.similarity, "_BLOCK_CELLS", block_cells):
             if isinstance(expected, Exception):
                 with pytest.raises(Exception) as raised:
-                    pairwise_matrix(data, measure)
+                    pairwise_blocks(data, measure)  # the call raises; no block is asked for
                 assert type(raised.value) is type(expected)
                 assert str(raised.value) == str(expected)
                 continue
-            actual = pairwise_matrix(data, measure)
+            actual = stacked_blocks(data, measure)
         assert actual.dtype == expected.dtype
         assert np.array_equal(actual, expected)
         assert actual.tobytes() == expected.tobytes()  # also the sign of every zero

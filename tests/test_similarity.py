@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from mbclust import (
     goodall,
     lin,
     overlap,
-    pairwise_matrix,
+    pairwise_blocks,
     update_sm_after_drop,
 )
-from conftest import random_codes
+from conftest import random_codes, stacked_blocks
 from matrix_loop import condensed_index
 from oracles import PAIR_MEASURES_D42, SM_A_FULL
 
@@ -160,16 +162,35 @@ def test_measures_symmetric_and_bounded():
 
 
 def test_pairwise_matrix_consistency(d42):
-    cm = pairwise_matrix(d42, "cm")
+    cm = stacked_blocks(d42, "cm")
     assert np.array_equal(cm, cm.T)
     assert np.all(np.diag(cm) == d42.m)
-    assert np.array_equal(pairwise_matrix(d42, "overlap"), cm / d42.m)
-    go = pairwise_matrix(d42, "goodall")
+    assert np.array_equal(stacked_blocks(d42, "overlap"), cm / d42.m)
+    go = stacked_blocks(d42, "goodall")
     assert go[0, 2] == pytest.approx(5 / 12, abs=1e-12)
-    li = pairwise_matrix(d42, "lin")
+    li = stacked_blocks(d42, "lin")
     assert np.all(np.diag(li) == 1.0)
-    with pytest.raises(ValueError):
-        pairwise_matrix(d42, "hamming")
+
+
+@pytest.mark.parametrize("codes, measure, error, message", [
+    ([[0, 1], [1, 0]], "hamming", ValueError, "unknown measure 'hamming'"),
+    ([[0, 1]], "goodall", ValueError, "goodall needs at least two objects"),
+    ([[0, 3], [0, 3]], "lin", DegenerateDataError, "every scored category is held by all objects"),
+], ids=["unknown-measure", "goodall-one-object", "lin-degenerate"])
+def test_pairwise_blocks_raises_at_the_call(codes, measure, error, message):
+    """Each error comes from the call itself, before a block is asked for, so a caller can check a measure
+    before it opens an output."""
+    with pytest.raises(error, match=message):
+        pairwise_blocks(Dataset.from_codes(codes), measure)
+
+
+@pytest.mark.parametrize("block_cells, rows", [(1, [1] * 10), (7, [1] * 10), (40, [4, 4, 2]), (100, [10])])
+def test_pairwise_blocks_hold_at_most_block_cells_or_one_row(dataset_a, block_cells, rows):
+    whole = {measure: stacked_blocks(dataset_a, measure) for measure in ("cm", "lin")}
+    with mock.patch.object(mbclust.similarity, "_BLOCK_CELLS", block_cells):
+        for measure, expected in whole.items():
+            assert [len(block) for block in pairwise_blocks(dataset_a, measure)] == rows
+            assert stacked_blocks(dataset_a, measure).tobytes() == expected.tobytes()
 
 
 def test_pairwise_matrix_scores_no_single_pair(dataset_a, monkeypatch):
@@ -180,4 +201,4 @@ def test_pairwise_matrix_scores_no_single_pair(dataset_a, monkeypatch):
     monkeypatch.setattr(mbclust.similarity, "goodall", refuse)
     monkeypatch.setattr(mbclust.similarity, "lin", refuse)
     for measure in ("cm", "overlap", "goodall", "lin"):
-        assert pairwise_matrix(dataset_a, measure).shape == (dataset_a.n, dataset_a.n)
+        assert stacked_blocks(dataset_a, measure).shape == (dataset_a.n, dataset_a.n)

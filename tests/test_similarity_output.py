@@ -34,8 +34,8 @@ import mbclust.similarity
 import mbclust.writers
 from mbclust import MbcError, load_csv
 from mbclust.cli import main
-from mbclust.similarity import pairwise_matrix
 from mbclust.writers import float_text
+from conftest import stacked_blocks
 
 MEASURES = ("cm", "overlap", "goodall", "lin")
 
@@ -90,7 +90,7 @@ def test_output_equals_per_cell_renderer(tmp_path_factory, measure, fmt, sink, c
     data_path, out = folder / "data.csv", (folder / "matrix.txt" if sink == "out" else None)
     write_codes(data_path, codes)
     try:
-        expected = render_by_cell(pairwise_matrix(load_csv(data_path), measure), measure, fmt)
+        expected = render_by_cell(stacked_blocks(load_csv(data_path), measure), measure, fmt)
     except (MbcError, ValueError):
         expected = None
     with mock.patch.object(mbclust.similarity, "_BLOCK_CELLS", block_cells):
@@ -115,7 +115,7 @@ def test_negative_zero_keeps_its_sign(tmp_path, sink):
         "csv": ",0,1\n0,1.000000,-0.000000\n1,-0.000000,1.000000\n",
     }
     for fmt, text in expected.items():
-        assert render_by_cell(pairwise_matrix(load_csv(data_path), "lin"), "lin", fmt) == text
+        assert render_by_cell(stacked_blocks(load_csv(data_path), "lin"), "lin", fmt) == text
         code, stdout, written = run_similarity(data_path, "lin", fmt, out)
         assert code == 0
         assert (written if sink == "out" else stdout) == text
@@ -128,7 +128,7 @@ def test_output_across_default_blocks(tmp_path, measure):
     codes = np.random.default_rng(n).integers(0, 3, size=(n, 6))
     data_path, out = tmp_path / "data.csv", tmp_path / "matrix.txt"
     write_codes(data_path, codes)
-    matrix = pairwise_matrix(load_csv(data_path), measure)
+    matrix = stacked_blocks(load_csv(data_path), measure)
     for fmt in ("json", "csv"):
         assert run_similarity(data_path, measure, fmt, out) == (0, "", render_by_cell(matrix, measure, fmt))
 

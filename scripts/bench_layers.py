@@ -47,8 +47,9 @@ command with ``lin`` and with ``goodall`` on a planted CSV of n = 2500
 (``SIMILARITY_N``), writing CSV output (``cli_similarity_<measure>``) and
 JSON output (``cli_similarity_<measure>_json``) to a temporary file, in
 child processes as above, with the SHA-256 of each output. The results,
-with the machine they were taken on, go to the JSON file named on the
-command line.
+with the machine they were taken on and the line count of the package
+(``source_lines``: the ``wc -l`` of each ``src/mbclust/*.py`` file and
+their total), go to the JSON file named on the command line.
 
 Usage::
 
@@ -74,7 +75,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import mbclust  # noqa: E402
 from mbclust import cli, contingency, importance_report, load_csv, run, writers  # noqa: E402
@@ -223,6 +225,12 @@ def bench_size(n: int, work: Path) -> dict:
     return {"n": n, "iterations": iterations, "clusters": clusters, "layers": layers, "peak_rss_mb_so_far": peak}
 
 
+def source_lines() -> dict:
+    """The ``wc -l`` (newline count) of each ``src/mbclust/*.py`` file, and their total."""
+    files = {path.name: path.read_bytes().count(b"\n") for path in sorted((SRC / "mbclust").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
@@ -251,6 +259,7 @@ def main(argv=None) -> int:
         "import": import_layer,
         "sizes": results,
         "similarity": similarity,
+        "source_lines": source_lines(),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -68,7 +68,7 @@ def _config(args) -> MbcConfig:
         anti_merge=not args.no_anti_merge,
         alpha=args.alpha,
         k=args.k,
-    ).validated()
+    )
 
 
 def _file_key(path: str | None):

@@ -44,19 +44,6 @@ STOP_ALL_CLUSTERED = "all objects clustered"
 STOP_TIED_IMPORTANCE = "remaining features equally important"
 
 
-def cluster_count(k) -> int:
-    """``k`` as an int; ``ValueError`` unless an integer of at least 1."""
-    try:
-        if isinstance(k, bool):
-            raise TypeError
-        index = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if index < 1:
-        raise ValueError("k must be at least 1")
-    return index
-
-
 @dataclass(frozen=True)
 class MbcConfig:
     """Knobs of the clustering loop.
@@ -70,7 +57,8 @@ class MbcConfig:
     the match-count threshold of the tie-break scoring. ``k`` asks for
     a partition of about that many clusters, read off the dendrogram;
     setting it disables ``anti_merge`` because a censored dendrogram
-    cannot be cut.
+    cannot be cut. Construction normalises the settings (lower case,
+    ``pgp2`` as ``pgp2-single``) and raises ``ValueError`` on bad ones.
     """
 
     importance_measure: str = IMPORTANCE_PGP
@@ -79,8 +67,7 @@ class MbcConfig:
     alpha: float = 0.0
     k: int | None = None
 
-    def validated(self) -> "MbcConfig":
-        """Normalized copy; raises ``ValueError`` on unusable settings."""
+    def __post_init__(self):
         measure = self.importance_measure.lower() if isinstance(self.importance_measure, str) else None
         policy = self.tie_policy.lower() if isinstance(self.tie_policy, str) else None
         if policy == "pgp2":
@@ -89,18 +76,19 @@ class MbcConfig:
             raise ValueError(f"unknown importance measure {self.importance_measure!r}")
         if policy not in (TIES_DROP_ALL, TIES_PGP2):
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
-        k = None if self.k is None else cluster_count(self.k)
+        k = self.k
+        if k is not None:
+            try:  # a bool is an int to Python, but no cluster count
+                k = operator.index(None if isinstance(k, bool) else k)
+            except TypeError:
+                raise ValueError(f"k must be an integer, got {self.k!r}") from None
+            if k < 1:
+                raise ValueError("k must be at least 1")
         alpha = finite_alpha(self.alpha)
         if not isinstance(self.anti_merge, (bool, np.bool_)):
             raise ValueError(f"anti_merge must be a bool, got {self.anti_merge!r}")
         anti_merge = bool(self.anti_merge) and k is None
-        return MbcConfig(
-            importance_measure=measure,
-            tie_policy=policy,
-            anti_merge=anti_merge,
-            alpha=alpha,
-            k=k,
-        )
+        self.__dict__.update(importance_measure=measure, tie_policy=policy, anti_merge=anti_merge, alpha=alpha, k=k)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -123,11 +111,9 @@ class ClusteringState:
     labels: np.ndarray
     profiles: np.ndarray
     remaining_features: tuple[int, ...]
-    iteration: int
     frozen: frozenset[int]
 
-    def __init__(self, entities=None, *, profiles, remaining_features, iteration=0, frozen=frozenset(),
-                 labels=None):
+    def __init__(self, entities=None, *, profiles, remaining_features, frozen=frozenset(), labels=None):
         if (entities is None) == (labels is None):
             raise ValueError("give exactly one of entities and labels")
         if labels is None:
@@ -137,7 +123,7 @@ class ClusteringState:
             raise ValueError("labels must be a 1-d integer array")
         labels = labels.astype(np.intp, copy=False)
         for name, value in (("labels", labels), ("profiles", profiles), ("remaining_features", remaining_features),
-                            ("iteration", iteration), ("frozen", frozenset(frozen))):
+                            ("frozen", frozenset(frozen))):
             object.__setattr__(self, name, value)
         e = len(profiles) if entities is None else len(entities)
         if profiles.shape != (e, len(remaining_features)):
@@ -526,13 +512,23 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class MbcResult:
-    """Outcome of a clustering run; its partition is dendrogram level ``level``."""
+    """Outcome of a clustering run; its partition is dendrogram level :attr:`level`."""
 
     dendrogram: Dendrogram
-    level: int
     trace: tuple[IterationRecord, ...]
     config: MbcConfig
-    stop_reason: str
+
+    @cached_property
+    def level(self) -> int:
+        """The level closest to ``config.k`` clusters, the coarser of two equally close; without ``k``, the last."""
+        sizes, k = self.dendrogram.level_sizes, self.config.k
+        return len(sizes) - 1 if k is None else min(range(len(sizes)), key=lambda p: (abs(sizes[p] - k), -p))
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the loop stopped: it stops before a drop decision exactly when its last level has no singleton."""
+        all_clustered = np.bincount(self.dendrogram.labels[-1]).min() >= 2
+        return STOP_ALL_CLUSTERED if all_clustered else STOP_TIED_IMPORTANCE
 
     @property
     def labels(self) -> np.ndarray:
@@ -555,12 +551,12 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
 
     Each iteration ranks the remaining features over the current
     entities, merges all fully agreeing entities, and removes the least
-    important features. A round that merged nothing hands the next its
-    pair counts at the kept features, as the entities are the same. With
-    ``config.k`` set, the returned partition is the dendrogram level
-    closest to ``k`` clusters, the coarser of two equally close.
+    important features, until every object is in a multi-member cluster
+    or no feature is least important. A round that merged nothing hands
+    the next its pair counts at the kept features, as the entities are
+    the same. The result derives its level and stop reason.
     """
-    config = (config or MbcConfig()).validated()
+    config = config or MbcConfig()
     if not hasattr(data, "codes_matrix"):
         data = Dataset.from_codes(data)
 
@@ -577,11 +573,9 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         grouped = group_matching(state)
         labels.append(grouped.labels)
 
-        all_clustered = (grouped.sizes >= 2).all()
-        dropped_ids = () if all_clustered else select_drop(grouped, report, config)
-        trace.append(IterationRecord(state.iteration, report, tuple(data.feature_names[f] for f in dropped_ids)))
+        dropped_ids = () if (grouped.sizes >= 2).all() else select_drop(grouped, report, config)
+        trace.append(IterationRecord(len(trace), report, tuple(data.feature_names[f] for f in dropped_ids)))
         if not dropped_ids:
-            stop_reason = STOP_ALL_CLUSTERED if all_clustered else STOP_TIED_IMPORTANCE
             break
 
         kept = [pos for pos, f in enumerate(grouped.remaining_features) if f not in dropped_ids]
@@ -590,8 +584,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
             tuple(report.feature_names[pos] for pos in kept), report.n_entities,
             tuple(report.match_pairs[pos] for pos in kept))
         state = ClusteringState(labels=grouped.labels, profiles=np.asfortranarray(grouped.profiles[:, kept]),
-                                remaining_features=tuple(grouped.remaining_features[pos] for pos in kept),
-                                iteration=grouped.iteration + 1)
+                                remaining_features=tuple(grouped.remaining_features[pos] for pos in kept))
         if config.anti_merge:
             frozen = anti_merge_update(state)
             if frozen is not state:
@@ -599,7 +592,4 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
                 state = frozen
 
     dendrogram = Dendrogram(n_leaves=len(labels[0]), labels=labels, anti_merge_used=anti_merge_used)
-    level = len(labels) - 1
-    if config.k is not None:
-        level = min(range(len(labels)), key=lambda p: (abs(dendrogram.level_sizes[p] - config.k), -p))
-    return MbcResult(dendrogram, level, tuple(trace), config, stop_reason)
+    return MbcResult(dendrogram, tuple(trace), config)

@@ -29,20 +29,28 @@ def as_codes(data) -> np.ndarray:
     """The int64 (n, m) code matrix of a :class:`Dataset` or a 2-D array-like.
 
     Float input, also floats in an object array, must hold integers: ``ValueError`` names the first cell that
-    is fractional, not finite or outside int64, instead of casting it; text and complex dtypes are refused.
+    is fractional, not finite or outside int64 (an int there as given), instead of casting it; text and complex
+    dtypes are refused.
     """
-    codes = np.asarray(getattr(data, "codes_matrix", data))
+    given = getattr(data, "codes_matrix", data)
+    codes = np.asarray(given)
     if codes.dtype.kind == "O":  # e.g. a mixed-type frame: let numpy type the cells, so floats get checked
         codes = np.array(codes.tolist())
     if codes.ndim != 2:
         raise ValueError("data must form a 2-D code matrix")
     if codes.dtype.kind not in "biufO":  # a cast would parse text ("01" is 1) and drop imaginary parts
         raise ValueError(f"each cell holds a {codes.dtype} value, which is not an integer code")
-    if codes.dtype.kind in "fO":
-        real = codes.astype(np.float64, copy=False)
+    if codes.dtype.kind in "fO":  # an object array keeps the ints no numpy integer holds; past int64 they read inf
+        real = codes if codes.dtype.kind == "f" else np.array(
+            [np.inf if isinstance(v, int) and not -2**63 <= v < 2**63 else v for v in codes.flat],
+            dtype=np.float64).reshape(codes.shape)
         bad = (real != np.floor(real)) | (real < -2.0**63) | (real >= 2.0**63)
         if bad.any():
             row, col = np.argwhere(bad)[0].tolist()
+            cell = np.array(given.tolist() if isinstance(given, np.ndarray) else given, dtype=object)[row, col]
+            if isinstance(cell, (int, np.integer)):  # numpy reads a list of ints past int64 as floats, not uint64
+                uint64 = "; give codes in [2**63, 2**64) as a uint64 array" if 2**63 <= cell < 2**64 else ""
+                raise ValueError(f"cell ({row}, {col}) holds {cell}, which is outside int64{uint64}")
             raise ValueError(f"cell ({row}, {col}) holds {codes[row, col]}, which is not an integer code")
     return codes.astype(np.int64, copy=False)
 

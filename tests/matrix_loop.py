@@ -120,8 +120,8 @@ class Dendrogram:
         return "(" + ",".join(render(node) for _, node in roots) + ");"
 
 
-def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
-    """Partition whose cluster count is closest to ``k``.
+def cut_at_k(dendrogram: Dendrogram, k: int) -> int:
+    """Index of the level whose cluster count is closest to ``k``.
 
     Levels are scanned from fine to coarse and a tie in closeness goes
     to the coarser level. Refuses dendrograms censored by the
@@ -133,21 +133,22 @@ def cut_at_k(dendrogram: Dendrogram, k: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("dendrogram has no levels")
     if dendrogram.anti_merge_used:
         raise MbcError("dendrogram was censored by the containment rule; rerun with anti_merge=False")
-    best = dendrogram.levels[0]
-    best_d = abs(len(best) - k)
-    for level in dendrogram.levels[1:]:
+    best = 0
+    best_d = abs(len(dendrogram.levels[0]) - k)
+    for p, level in enumerate(dendrogram.levels[1:], start=1):
         d = abs(len(level) - k)
         if d <= best_d:
-            best = level
+            best = p
             best_d = d
     return best
 
 
 @dataclass(frozen=True)
 class MbcResult:
-    """Outcome of a clustering run."""
+    """Outcome of a clustering run; its partition is dendrogram level ``level``."""
 
     partition: tuple[tuple[int, ...], ...]
+    level: int
     dendrogram: Dendrogram
     trace: tuple[IterationRecord, ...]
     config: MbcConfig
@@ -381,7 +382,7 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
     ``config.k`` set, the returned partition is the dendrogram level
     closest to ``k`` clusters instead of the loop's final state.
     """
-    config = (config or MbcConfig()).validated()
+    config = config or MbcConfig()
     if not hasattr(data, "codes_matrix"):
         data = Dataset.from_codes(np.asarray(data, dtype=np.int64))
 
@@ -457,9 +458,10 @@ def run(data, config: MbcConfig | None = None) -> MbcResult:
         merge_events=tuple(merge_events),
         anti_merge_used=anti_merge_used,
     )
-    partition = cut_at_k(dendrogram, config.k) if config.k is not None else state.partition()
+    level = cut_at_k(dendrogram, config.k) if config.k is not None else len(levels) - 1
     return MbcResult(
-        partition=partition,
+        partition=dendrogram.levels[level] if config.k is not None else state.partition(),
+        level=level,
         dendrogram=dendrogram,
         trace=tuple(trace),
         config=config,

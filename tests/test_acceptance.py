@@ -60,7 +60,6 @@ def _drop(state: ClusteringState, original_ids) -> ClusteringState:
         entities=state.entities,
         profiles=state.profiles[:, keep].copy(),
         remaining_features=tuple(state.remaining_features[p] for p in keep),
-        iteration=state.iteration + 1,
     )
 
 

@@ -621,6 +621,13 @@ def test_non_finite_alpha_is_data_error(argv, alpha, capsys):
     assert err.startswith("error: alpha") and "{" not in err
 
 
+def test_invalid_config_is_data_error(capsys):
+    assert main(["cluster", DATASET_A, "--k", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: k must be at least 1\n"
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -40,7 +41,6 @@ def drop_features(state: ClusteringState, original_ids) -> ClusteringState:
         entities=state.entities,
         profiles=profiles,
         remaining_features=tuple(state.remaining_features[p] for p in kept),
-        iteration=state.iteration + 1,
     )
 
 
@@ -48,30 +48,30 @@ def drop_features(state: ClusteringState, original_ids) -> ClusteringState:
 
 
 def test_config_defaults_and_alias():
-    config = MbcConfig().validated()
+    config = MbcConfig()
     assert config.importance_measure == "pgp"
     assert config.tie_policy == "drop-all"
     assert config.anti_merge is True
-    assert MbcConfig(tie_policy="pgp2").validated().tie_policy == "pgp2-single"
+    assert MbcConfig(tie_policy="pgp2").tie_policy == "pgp2-single"
 
 
 def test_config_validation_errors():
     with pytest.raises(ValueError):
-        MbcConfig(importance_measure="gini").validated()
+        MbcConfig(importance_measure="gini")
     with pytest.raises(ValueError):
-        MbcConfig(tie_policy="first").validated()
+        MbcConfig(tie_policy="first")
     with pytest.raises(ValueError):
-        MbcConfig(k=0).validated()
+        MbcConfig(k=0)
     with pytest.raises(ValueError, match="k"):
-        MbcConfig(k=2.7).validated()
-    assert MbcConfig(k=np.int64(2)).validated().k == 2
+        MbcConfig(k=2.7)
+    assert MbcConfig(k=np.int64(2)).k == 2
 
 
 @pytest.mark.parametrize("k", [True, False, np.True_, np.False_])
 def test_config_rejects_bool_k(k):
     """``operator.index(True)`` is 1, which would also turn the containment rule off."""
     with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
-        MbcConfig(k=k).validated()
+        MbcConfig(k=k)
     with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
         run([[0, 1], [0, 2], [1, 2]], MbcConfig(k=k))
 
@@ -80,24 +80,24 @@ def test_config_rejects_bool_k(k):
 @pytest.mark.parametrize("value", [None, 3, b"pgp"])
 def test_config_rejects_non_str_names(field, value):
     with pytest.raises(ValueError, match=re.escape(repr(value))):
-        MbcConfig(**{field: value}).validated()
+        MbcConfig(**{field: value})
 
 
 @pytest.mark.parametrize("alpha", ["2.5", True, False, np.True_, None, 1j])
 def test_config_rejects_non_real_alpha(alpha):
     with pytest.raises(ValueError, match=re.escape(repr(alpha))):
-        MbcConfig(alpha=alpha).validated()
+        MbcConfig(alpha=alpha)
 
 
 @pytest.mark.parametrize("alpha", [2, 2.5, np.float32(2.5), np.int64(2)])
 def test_config_accepts_real_alpha(alpha):
-    assert MbcConfig(alpha=alpha).validated().alpha == float(alpha)
+    assert MbcConfig(alpha=alpha).alpha == float(alpha)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
-        MbcConfig(alpha=alpha).validated()
+        MbcConfig(alpha=alpha)
     with pytest.raises(ValueError, match="alpha"):
         run([[0, 1], [0, 2], [1, 2]], MbcConfig(tie_policy="pgp2", alpha=alpha))
 
@@ -105,21 +105,37 @@ def test_config_rejects_non_finite_alpha(alpha):
 @pytest.mark.parametrize("anti_merge", ["false", "", 0.5, 0, 1, None, np.int64(1)])
 def test_config_rejects_non_bool_anti_merge(anti_merge):
     with pytest.raises(ValueError, match=re.escape(f"anti_merge must be a bool, got {anti_merge!r}")):
-        MbcConfig(anti_merge=anti_merge).validated()
+        MbcConfig(anti_merge=anti_merge)
     with pytest.raises(ValueError, match="anti_merge"):
         run([[0, 1], [0, 2], [1, 2]], MbcConfig(anti_merge=anti_merge))
 
 
 @pytest.mark.parametrize("anti_merge", [True, False, np.bool_(True), np.bool_(False)])
 def test_config_accepts_bool_anti_merge(anti_merge):
-    config = MbcConfig(anti_merge=anti_merge).validated()
+    config = MbcConfig(anti_merge=anti_merge)
     assert config.anti_merge is bool(anti_merge)
-    assert config.validated() == config
+    assert MbcConfig(**dataclasses.asdict(config)) == config
 
 
 def test_config_k_disables_containment():
-    config = MbcConfig(k=3, anti_merge=True).validated()
+    config = MbcConfig(k=3, anti_merge=True)
     assert config.anti_merge is False and config.k == 3
+
+
+def test_config_is_normalised_from_construction():
+    assert MbcConfig(tie_policy="pgp2") == MbcConfig(tie_policy="pgp2-single") == MbcConfig(tie_policy="PGP2")
+    assert MbcConfig(importance_measure="PPP") == MbcConfig(importance_measure="ppp")
+    assert MbcConfig(k=np.int64(2)) == MbcConfig(k=2, anti_merge=False)
+    assert not hasattr(MbcConfig, "validated")
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        dataclasses.replace(MbcConfig(k=2), k=0)
+
+
+def test_result_holds_only_dendrogram_trace_and_config(dataset_a):
+    assert [field.name for field in dataclasses.fields(mbclust.core.MbcResult)] == ["dendrogram", "trace", "config"]
+    with pytest.raises(TypeError):
+        ClusteringState(labels=np.arange(2), profiles=np.zeros((2, 1), dtype=np.int64), remaining_features=(0,),
+                        iteration=0)
 
 
 # -- state and grouping --------------------------------------------------
@@ -277,15 +293,15 @@ def test_anti_merge_leaves_other_pairs_alone():
 def test_select_drop_single_minimum(dataset_a):
     state = initial_state(dataset_a)
     report = importance_report(state.profiles, feature_names=dataset_a.feature_names)
-    assert select_drop(state, report, MbcConfig().validated()) == (4,)
+    assert select_drop(state, report, MbcConfig()) == (4,)
 
 
 def test_select_drop_tie_policies(dataset_a):
     grouped = drop_features(group_matching(initial_state(dataset_a)), {4})
     report = importance_report(grouped.profiles, feature_names=("A", "B", "C", "D"))
     assert report.match_pairs == MATCH_PAIRS_A_ITER1
-    assert select_drop(grouped, report, MbcConfig().validated()) == (2, 3)
-    single = select_drop(grouped, report, MbcConfig(tie_policy="pgp2").validated())
+    assert select_drop(grouped, report, MbcConfig()) == (2, 3)
+    single = select_drop(grouped, report, MbcConfig(tie_policy="pgp2"))
     assert single == (2,)
 
 
@@ -298,8 +314,8 @@ def test_select_drop_termination_cases():
     )
     report = importance_report(profiles)
     # both features carry the same pair counts: nothing to drop
-    assert select_drop(state, report, MbcConfig().validated()) == ()
-    assert select_drop(state, report, MbcConfig(tie_policy="pgp2").validated()) == ()
+    assert select_drop(state, report, MbcConfig()) == ()
+    assert select_drop(state, report, MbcConfig(tie_policy="pgp2")) == ()
 
 
 def test_select_drop_ppp_measure(dataset_a):
@@ -307,15 +323,42 @@ def test_select_drop_ppp_measure(dataset_a):
     report = importance_report(state.profiles, feature_names=dataset_a.feature_names)
     # E has the most mismatching pairs, so under ppp the least important
     # features are A and B
-    config = MbcConfig(importance_measure="ppp").validated()
+    config = MbcConfig(importance_measure="ppp")
     assert select_drop(state, report, config) == (0, 1)
+
+
+# Upper-case names once reached select_drop unnormalised: "PPP" fell through to pgp and dropped (0, 2).
+MIXED_CASE_CODES = [[0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0], [0, 1, 2], [2, 1, 0]]
+
+
+def test_select_drop_reads_an_upper_case_measure_as_lower_case():
+    state, report = initial_state(MIXED_CASE_CODES), importance_report(MIXED_CASE_CODES)
+    assert report.match_pairs == (8, 14, 8)
+    assert select_drop(state, report, MbcConfig(importance_measure="PPP")) == (1,)
+    assert select_drop(state, report, MbcConfig(importance_measure="ppp")) == (1,)
+    assert select_drop(state, report, MbcConfig(importance_measure="pgp")) == (0, 2)
+
+
+@pytest.mark.parametrize("spellings", [
+    [{"importance_measure": "PPP"}, {"importance_measure": "ppp"}],
+    [{"tie_policy": "PGP2"}, {"tie_policy": "pgp2"}, {"tie_policy": "pgp2-single"}],
+    [{"importance_measure": "Ppp", "tie_policy": "Pgp2"}, {"importance_measure": "ppp", "tie_policy": "pgp2-single"}],
+], ids=["ppp", "pgp2", "both"])
+def test_spellings_of_a_setting_give_one_result(dataset_a, spellings):
+    grouped = drop_features(group_matching(initial_state(dataset_a)), {4})
+    report = importance_report(grouped.profiles, feature_names=("A", "B", "C", "D"))
+    drops = {select_drop(grouped, report, MbcConfig(**kwargs)) for kwargs in spellings}
+    assert len(drops) == 1
+    results = [run(dataset_a, MbcConfig(**kwargs)) for kwargs in spellings]
+    observed = [(r.partition, r.stop_reason, [rec.to_dict() for rec in r.trace], r.config) for r in results]
+    assert all(seen == observed[0] for seen in observed)
 
 
 def test_select_drop_report_mismatch(dataset_a):
     state = initial_state(dataset_a)
     report = importance_report(state.profiles[:, :4])
     with pytest.raises(ValueError):
-        select_drop(state, report, MbcConfig().validated())
+        select_drop(state, report, MbcConfig())
 
 
 # -- the full loop --------------------------------------------------------
@@ -445,7 +488,7 @@ def test_run_with_k(dataset_a):
 def test_cut_at_k_follows_the_config_k_rule(dataset_a, k):
     message = re.escape(f"k must be an integer, got {k!r}")
     with pytest.raises(ValueError, match=message):
-        MbcConfig(k=k).validated()
+        MbcConfig(k=k)
     with pytest.raises(ValueError, match=message):
         run(dataset_a, MbcConfig(k=k))
     by_int64, by_int = run(dataset_a, MbcConfig(k=np.int64(2))), run(dataset_a, MbcConfig(k=2))

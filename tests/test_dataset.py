@@ -103,6 +103,23 @@ def test_float_codes_must_be_integers(entry, codes, cell):
         entry(codes)
 
 
+UINT64_HINT = r"; give codes in \[2\*\*63, 2\*\*64\) as a uint64 array"
+
+
+@pytest.mark.parametrize("entry", [Dataset.from_codes, run, build_sm], ids=["from_codes", "run", "build_sm"])
+@pytest.mark.parametrize("codes, message", [
+    ([[2**64 - 1], [0]], r"holds 18446744073709551615, which is outside int64" + UINT64_HINT),  # typed float64
+    ([[2**63], [5]], r"holds 9223372036854775808, which is outside int64" + UINT64_HINT),  # typed float64
+    ([[2**70], [0]], r"holds 1180591620717411303424, which is outside int64$"),  # typed object
+    ([[-2**63 - 1], [0]], r"holds -9223372036854775809, which is outside int64$"),  # typed object, rounds to -2**63
+], ids=["2**64-1", "2**63", "2**70", "-2**63-1"])
+def test_int_codes_past_int64_are_out_of_range(entry, codes, message):
+    """A list is typed by numpy before it is checked, so its ints past int64
+    arrive as floats or objects; the message names the exact int."""
+    with pytest.raises(ValueError, match=r"^cell \(0, 0\) " + message):
+        entry(codes)
+
+
 def test_integral_floats_and_bools_are_codes():
     integral = np.floor(FRACTIONAL)
     assert run(integral).partition == run(integral.astype(np.int64)).partition == ((0, 1), (2, 3))

@@ -86,6 +86,19 @@ def test_run_equals_matrix_loop(measure, ties, anti_merge, codes, k, alpha):
     assert_run_equals_matrix_loop(codes, config)
 
 
+@pytest.mark.parametrize("measure, ties, anti_merge", GRID)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(codes=code_matrices(), k=st.sampled_from([None, 1, 2, 3, 5]), alpha=st.sampled_from([0.0, 1.0, 2.5]))
+def test_derived_level_and_stop_reason_equal_matrix_loop(measure, ties, anti_merge, codes, k, alpha):
+    """``run`` keeps no level or stop reason; the result derives them from its
+    dendrogram and config. The reference loop decides both as it runs."""
+    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge, k=k, alpha=alpha)
+    result, expected = run(codes, config), matrix_loop.run(codes, config)
+    assert (result.level, result.stop_reason) == (expected.level, expected.stop_reason)
+    assert result.partition == expected.partition == expected.dendrogram.levels[expected.level]
+
+
 @pytest.mark.parametrize("measure", ["pgp", "ppp"])
 @pytest.mark.parametrize("anti_merge", [True, False])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,

@@ -169,7 +169,7 @@ def test_non_real_alpha_rejected(alpha):
     with pytest.raises(ValueError, match=f"alpha .*{re.escape(repr(alpha))}"):
         pgp2_kept_counts(rows([0, 1], [0, 1]), (0,), alpha)
     with pytest.raises(ValueError, match=f"alpha .*{re.escape(repr(alpha))}"):
-        MbcConfig(alpha=alpha).validated()
+        MbcConfig(alpha=alpha)
 
 
 @pytest.mark.parametrize("alpha", [2, 2.5, np.float64(2.5), np.int64(2)])
@@ -257,7 +257,7 @@ def test_leftover_tie_goes_to_first_tied_position():
     state = _state([[0, 0, 5], [0, 0, 5], [0, 1, 6], [0, 2, 7]], (3, 8, 9))
     report = importance_report(state.profiles)
     assert pgp2_kept_counts(state.profiles, (1, 2)) == ((6, 6), 6)
-    assert select_drop(state, report, MbcConfig(tie_policy="pgp2").validated()) == (8,)
+    assert select_drop(state, report, MbcConfig(tie_policy="pgp2")) == (8,)
 
 
 def test_first_maximum_wins():
@@ -269,7 +269,7 @@ def test_first_maximum_wins():
     report = importance_report(state.profiles)
     assert report.match_pairs == (2, 2, 2, 6)
     assert pgp2_kept_counts(state.profiles, (0, 1, 2)) == ((4, 5, 5), 5)
-    assert select_drop(state, report, MbcConfig(tie_policy="pgp2").validated()) == (1,)
+    assert select_drop(state, report, MbcConfig(tie_policy="pgp2")) == (1,)
 
 
 def record_sweeps(monkeypatch):
@@ -321,7 +321,7 @@ def test_tie_break_equals_sweep_over_every_tied_column(state, measure, alpha):
     if min(numerators) != max(numerators):
         kept, _ = pgp2_kept_counts(state.profiles, tied, alpha)
         expected = (state.remaining_features[tied[kept.index(max(kept))]],)
-    config = MbcConfig(importance_measure=measure, tie_policy="pgp2", alpha=alpha).validated()
+    config = MbcConfig(importance_measure=measure, tie_policy="pgp2", alpha=alpha)
     assert select_drop(state, report, config) == expected
 
 
@@ -337,7 +337,7 @@ def test_tie_among_columns_that_split_alike_runs_no_sweep(monkeypatch):
 
     monkeypatch.setattr(mbclust.core, "pgp2_kept_counts", refuse)
     for alpha in (-1.0, 0.0, 1.0, 3.0):
-        assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=alpha).validated()) == (5,)
+        assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=alpha)) == (5,)
 
 
 def test_mixed_tie_sweeps_one_column_per_split(monkeypatch):
@@ -352,6 +352,6 @@ def test_mixed_tie_sweeps_one_column_per_split(monkeypatch):
     # three columns, so dropping a twin unmarks its pair and dropping
     # column 4 unmarks none. At alpha 1 the pair of column 4 is marked on
     # exactly two columns and goes with it, so the first tied column wins.
-    assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=2.0).validated()) == (4,)
-    assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=1.0).validated()) == (1,)
+    assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=2.0)) == (4,)
+    assert select_drop(state, report, MbcConfig(tie_policy="pgp2", alpha=1.0)) == (1,)
     assert sweeps == [[1, 2, 4], [1, 2, 4]]

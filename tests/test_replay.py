@@ -40,7 +40,6 @@ def replay(codes, result):
             labels=grouped.labels,
             profiles=grouped.profiles[:, keep],
             remaining_features=tuple(grouped.remaining_features[pos] for pos in keep),
-            iteration=grouped.iteration + 1,
         )
         if result.config.anti_merge:
             state = anti_merge_update(state)

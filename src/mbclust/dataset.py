@@ -41,7 +41,7 @@ def as_codes(data) -> np.ndarray:
     if codes.dtype.kind not in "biufO":  # a cast would parse text ("01" is 1) and drop imaginary parts
         raise ValueError(f"each cell holds a {codes.dtype} value, which is not an integer code")
     if codes.dtype.kind in "fO":  # an object array keeps the ints no numpy integer holds; past int64 they read inf
-        real = codes if codes.dtype.kind == "f" else np.array(
+        real = codes.astype(np.float64, copy=False) if codes.dtype.kind == "f" else np.array(
             [np.inf if isinstance(v, int) and not -2**63 <= v < 2**63 else v for v in codes.flat],
             dtype=np.float64).reshape(codes.shape)
         bad = (real != np.floor(real)) | (real < -2.0**63) | (real >= 2.0**63)

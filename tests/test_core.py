@@ -131,7 +131,7 @@ def test_config_is_normalised_from_construction():
         dataclasses.replace(MbcConfig(k=2), k=0)
 
 
-def test_result_holds_only_dendrogram_trace_and_config(dataset_a):
+def test_result_holds_only_dendrogram_trace_and_config():
     assert [field.name for field in dataclasses.fields(mbclust.core.MbcResult)] == ["dendrogram", "trace", "config"]
     with pytest.raises(TypeError):
         ClusteringState(labels=np.arange(2), profiles=np.zeros((2, 1), dtype=np.int64), remaining_features=(0,),

@@ -16,9 +16,10 @@ with the rule enabled cannot be cut at a chosen cluster count.
 
 The loop is array work: a state holds one entity label per object and
 one feature-major profile row per entity, and identical profiles are
-found by one sort of one packed integer key per row. The dendrogram
-keeps each level's labels; member tuples and merge records are derived
-from them on demand. This module holds no text layout: the JSON and
+found by one sort of one checked key per row: a wrapping integer hash of
+the row, whose groups are compared with the rows. The dendrogram keeps
+each level's labels; member tuples and merge records are derived from
+them on demand. This module holds no text layout: the JSON and
 Newick texts come from :mod:`mbclust.writers`.
 """
 
@@ -156,7 +157,7 @@ class ClusteringState:
 
     @cached_property
     def _groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per entity its profile's rank, and per rank its first entity; see :func:`_profile_groups`."""
+        """Per entity its profile's group, and per group its first entity; see :func:`_profile_groups`."""
         return _profile_groups(self)
 
 
@@ -208,8 +209,8 @@ def initial_state(data) -> ClusteringState:
     return ClusteringState(labels=np.arange(n), profiles=codes, remaining_features=tuple(range(m)))
 
 
-# Packed profile keys stay below this bound, well inside int64.
-_KEY_LIMIT = 1 << 62
+# Odd, so that ``key * _BASE`` maps the uint64 values one to one.
+_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _sorted_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,33 +225,29 @@ def _sorted_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _profile_groups(state: ClusteringState) -> tuple[np.ndarray, np.ndarray]:
-    """Per entity the rank of its profile among the distinct profiles, and
-    per rank the first entity with that profile.
+    """Per entity the group of its profile among the distinct profiles, and
+    per group the first entity with that profile.
 
-    Each profile is packed into one int64 key, column by column (``key =
-    key * card + code`` with the column's codes shifted to start at 0),
-    so one argsort of one integer per entity finds the identical
-    profiles, and the key order is the lexicographic order of the
-    profiles. A column whose codes span more values than there are
-    entities is replaced by its ranks first, and the key is replaced by
-    its ranks whenever the next product would pass 2**62, so any int64
-    codes pack without overflow.
+    Each profile is folded into one uint64 key, column by column (``key =
+    key * _BASE + code``, wrapping modulo 2**64), so one argsort of one
+    integer per entity groups the entities. Identical profiles share a
+    key; distinct ones can share one too, so each member of a key group is
+    compared with the group's first entity, in blocks of rows. When any
+    differs, the groups come from ``np.unique`` of the whole rows instead.
     """
     profiles = as_codes(state.profiles)
-    e = len(profiles)
-    key, card = np.zeros(e, dtype=np.int64), 1
-    for column, low, high in zip(profiles.T, profiles.min(axis=0).tolist(), profiles.max(axis=0).tolist()):
-        span = high - low + 1
-        if span > e:
-            _, column = np.unique(column, return_inverse=True)
-            low, span = 0, int(column.max()) + 1
-        if card * span > _KEY_LIMIT:
-            _, key = np.unique(key, return_inverse=True)
-            card = int(key.max()) + 1
-        key *= span
-        key += column - low
-        card *= span
-    return _sorted_groups(key)
+    key = np.zeros(len(profiles), dtype=np.uint64)
+    for column in profiles.T:
+        key *= _BASE
+        key += column.view(np.uint64)
+    group, first = _sorted_groups(key)
+    head = first[group]
+    members = np.flatnonzero(head != np.arange(len(head)))
+    step = 1 + (1 << 20) // (1 + profiles.shape[1])  # entities per block: at most 2**20 codes a side
+    blocks = (members[start:start + step] for start in range(0, len(members), step))
+    if any((profiles.T.take(rows, axis=1) != profiles.T.take(head[rows], axis=1)).any() for rows in blocks):
+        _, first, group = np.unique(profiles, axis=0, return_index=True, return_inverse=True)
+    return group, first
 
 
 def group_matching(state: ClusteringState) -> ClusteringState:

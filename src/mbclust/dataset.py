@@ -48,7 +48,8 @@ def as_codes(data) -> np.ndarray:
         if bad.any():
             row, col = np.argwhere(bad)[0].tolist()
             cell = np.array(given.tolist() if isinstance(given, np.ndarray) else given, dtype=object)[row, col]
-            if isinstance(cell, (int, np.integer)):  # numpy reads a list of ints past int64 as floats, not uint64
+            # numpy reads a list of ints past int64 as floats, not uint64; an integral float here is out of range too
+            if isinstance(cell, (int, np.integer)) or float(cell).is_integer():
                 uint64 = "; give codes in [2**63, 2**64) as a uint64 array" if 2**63 <= cell < 2**64 else ""
                 raise ValueError(f"cell ({row}, {col}) holds {cell}, which is outside int64{uint64}")
             raise ValueError(f"cell ({row}, {col}) holds {codes[row, col]}, which is not an integer code")

@@ -3,7 +3,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -643,3 +645,12 @@ def test_help_exits_zero(capsys):
     assert excinfo.value.code == 0
     out, _ = capsys.readouterr()
     assert "--ties" in out
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    """numpy loads ``numpy.random`` on first use; importing it would add about
+    9 ms to the start-up of every command."""
+    src = str(Path(mbclust.cli.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import mbclust.cli; print('numpy.random' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True).stdout
+    assert loaded == "False\n"

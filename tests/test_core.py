@@ -581,8 +581,21 @@ def test_run_builds_no_match_matrix_under_drop_all(dataset_a, monkeypatch, anti_
     assert len(result.partition) == (4 if anti_merge else 2)
 
 
+def planted(n, m, seed):
+    """``n`` copies of 20 seeded prototypes over ``m`` three-valued features,
+    with 15 % of each column's cells moved to another value."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 3, size=(20, m))[rng.permutation(np.arange(n) % 20)]
+    for column in codes.T:
+        rows = rng.choice(n, size=round(0.15 * n), replace=False)
+        column[rows] = (column[rows] + rng.integers(1, 3, size=len(rows))) % 3
+    return codes
+
+
 @pytest.mark.parametrize("anti_merge", [True, False])
 def test_run_sorts_no_profile_rows(dataset_a, monkeypatch, anti_merge):
+    """No grouping falls back to sorting whole rows: on these inputs no two
+    distinct profiles share a key."""
     unique = np.unique
 
     def refuse_axis(*args, **kwargs):
@@ -591,7 +604,8 @@ def test_run_sorts_no_profile_rows(dataset_a, monkeypatch, anti_merge):
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", refuse_axis)
-    for data in (dataset_a, np.random.default_rng(7).integers(0, 3, size=(200, 8))):
+    for data in (dataset_a, np.random.default_rng(7).integers(0, 3, size=(200, 8)), planted(2500, 20, 0),
+                 planted(300, 120, 1)):
         result = run(data, MbcConfig(anti_merge=anti_merge))
         assert len(result.dendrogram.levels) > 2
 

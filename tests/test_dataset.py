@@ -80,23 +80,26 @@ def test_from_codes_compacts_sparse_codes():
 FRACTIONAL = np.array([[0.2, 1], [0.7, 1], [1.0, 0], [1.9, 0]])
 
 
-@pytest.mark.parametrize("entry", [
+# Every entry point that takes a code matrix checks it with as_codes.
+ENTRIES = pytest.mark.parametrize("entry", [
     run,
     Dataset.from_codes,
     lambda codes: Dataset(codes, ["a", "b"], [("x", "y")] * 2),
     importance_report,
     build_sm,
 ], ids=["run", "from_codes", "Dataset", "importance_report", "build_sm"])
+
+
+@ENTRIES
 @pytest.mark.parametrize("codes, cell", [
     (FRACTIONAL, r"\(0, 0\) holds 0.2"),
     (np.array([[0, 1], [1, np.nan]]), r"\(1, 1\) holds nan"),
     (np.array([[0, -np.inf], [1, 0]]), r"\(0, 1\) holds -inf"),
-    (np.array([[0, 1], [2.0**63, 0]]), r"\(1, 0\) holds 9.22\d*e\+18"),
     (FRACTIONAL.astype(object), r"\(0, 0\) holds 0.2"),  # e.g. np.asarray of a mixed-type frame
     (np.array([[0, 1], [1, 0.7]], dtype=object), r"\(1, 1\) holds 0.7"),
     (np.array([["1", "0"], ["01", "1"]]), "each cell holds a <U2 value"),  # a cast makes "01" and "1" one code
     (np.array([[1, 0], [1 + 1j, 0]]), "each cell holds a complex128 value"),  # a cast drops the imaginary part
-], ids=["fractional", "nan", "-inf", "2**63", "object", "object-mixed", "text", "complex"])
+], ids=["fractional", "nan", "-inf", "object", "object-mixed", "text", "complex"])
 def test_float_codes_must_be_integers(entry, codes, cell):
     # A cast would make 0.2 and 0.7 one category and NaN a huge negative code.
     with pytest.raises(ValueError, match=cell + ", which is not an integer code"):
@@ -106,16 +109,18 @@ def test_float_codes_must_be_integers(entry, codes, cell):
 UINT64_HINT = r"; give codes in \[2\*\*63, 2\*\*64\) as a uint64 array"
 
 
-@pytest.mark.parametrize("entry", [Dataset.from_codes, run, build_sm], ids=["from_codes", "run", "build_sm"])
+@ENTRIES
 @pytest.mark.parametrize("codes, message", [
     ([[2**64 - 1], [0]], r"holds 18446744073709551615, which is outside int64" + UINT64_HINT),  # typed float64
     ([[2**63], [5]], r"holds 9223372036854775808, which is outside int64" + UINT64_HINT),  # typed float64
     ([[2**70], [0]], r"holds 1180591620717411303424, which is outside int64$"),  # typed object
     ([[-2**63 - 1], [0]], r"holds -9223372036854775809, which is outside int64$"),  # typed object, rounds to -2**63
-], ids=["2**64-1", "2**63", "2**70", "-2**63-1"])
+    (np.array([[2.0**63], [5.0]]), r"holds 9.22\d*e\+18, which is outside int64" + UINT64_HINT),
+], ids=["2**64-1", "2**63", "2**70", "-2**63-1", "float-2**63"])
 def test_int_codes_past_int64_are_out_of_range(entry, codes, message):
     """A list is typed by numpy before it is checked, so its ints past int64
-    arrive as floats or objects; the message names the exact int."""
+    arrive as floats or objects; the message names the exact int. An
+    integral float past int64 is out of range too, not fractional."""
     with pytest.raises(ValueError, match=r"^cell \(0, 0\) " + message):
         entry(codes)
 

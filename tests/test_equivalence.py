@@ -151,3 +151,35 @@ def assert_run_equals_matrix_loop(codes, config):
     assert [(ev.iteration, ev.parent, ev.children, ev.members) for ev in dendrogram.merge_events] == \
         [(ev.iteration, ev.parent, ev.children, ev.members) for ev in reference.merge_events]
     assert "".join(writers.dendrogram_json(dendrogram)) == json.dumps(reference.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("base", [0, 1])
+@pytest.mark.parametrize("measure, ties, anti_merge", GRID)
+def test_key_collisions_fall_back_to_row_grouping(measure, ties, anti_merge, base, monkeypatch):
+    """A key base of 0 keys each profile by its last code, and a base of 1
+    by its code sum, so distinct profiles share keys and the grouping must
+    fall back to ``np.unique`` of the whole rows. The outputs stay those of
+    the unpatched run and of the reference loop."""
+    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge)
+    matrices = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 4, size=(4, 6))[rng.integers(0, 4, size=30)]
+        edits = rng.random(codes.shape) < 0.15
+        codes[edits] = rng.integers(0, 4, size=edits.sum())
+        matrices.append(codes)
+    expected = [_observed(run(codes, config)) for codes in matrices]
+
+    unique, fallbacks = np.unique, []
+
+    def counting(*args, **kwargs):
+        if kwargs.get("axis") == 0:
+            fallbacks.append(args[0].shape)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(mbclust.core, "_BASE", np.uint64(base))
+    monkeypatch.setattr(np, "unique", counting)
+    for codes, observed in zip(matrices, expected):
+        assert _observed(run(codes, config)) == observed
+        assert_run_equals_matrix_loop(codes, config)
+    assert fallbacks

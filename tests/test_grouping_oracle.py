@@ -1,12 +1,13 @@
-"""Grouping on packed profile keys against grouping on whole rows.
+"""Grouping on checked profile keys against grouping on whole rows.
 
 ``group_matching`` and ``anti_merge_update`` find identical profiles by
-packing each profile into one integer key. The inputs of
-``test_equivalence`` (codes 0..3, at most 5 columns) never make the key
-outgrow int64. Here profiles have 40 to 80 columns, so the product of
-the column spans passes 2**62 and the key must be re-ranked, and their
-codes include negative values, values near +-2**62 and the int64
-extremes. The reference finds the groups with
+hashing each profile into one wrapping uint64 key and checking each
+key group against its first row. The inputs of ``test_equivalence``
+(codes 0..3, at most 5 columns) keep the keys apart. Here profiles have
+40 to 80 columns, so the key wraps many times, and their codes include
+negative values, values near +-2**62 and the int64 extremes, where
+distinct profiles can share a key and the grouping must fall back to
+the whole rows. The reference finds the groups with
 ``np.unique(profiles, axis=0)`` and applies the merge and freeze rules
 entity by entity. Every state is tried with its profiles row-major,
 feature-major (the loop's own layout) and as a column slice of a wider
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mbclust.core
 from mbclust import ClusteringState, anti_merge_update, group_matching
 
 INT64 = np.iinfo(np.int64)
@@ -117,9 +119,9 @@ def test_packed_grouping_equals_row_grouping(state, data):
 
 @pytest.mark.parametrize("low, high", [(0, 1), (int(INT64.min), int(INT64.max)), (-BIG, BIG)])
 def test_rows_differing_only_in_the_first_of_many_columns_stay_apart(low, high):
-    # 80 two-valued columns: a key that wrapped around 2**64 instead of
-    # being re-ranked would lose the first columns and merge rows that
-    # differ only there.
+    # 80 two-valued columns: the key wraps around 2**64 many times, yet rows
+    # that differ only in the first columns must stay apart, by their keys
+    # (an odd base shifts no column out of the key) or by the row check.
     profiles = np.full((4, 80), low, dtype=np.int64)
     profiles[1, 0] = profiles[2, 1] = profiles[3, :] = high
     profiles[3, 0] = low
@@ -127,3 +129,14 @@ def test_rows_differing_only_in_the_first_of_many_columns_stay_apart(low, high):
     assert group_matching(state) is state
     assert group_matching(ClusteringState(labels=np.arange(5), profiles=profiles[[0, 1, 2, 3, 1]],
                                           remaining_features=tuple(range(80)))).entities == ((0,), (1, 4), (2,), (3,))
+
+
+def test_a_collision_in_a_later_check_block_falls_back(monkeypatch):
+    # 1100 x 1000 codes are checked in blocks of 1048 rows. A base of 0 keys
+    # every profile by its last code, so all rows share one key, and only
+    # the last row, in the second block, differs from the first.
+    profiles = np.zeros((1100, 1000), dtype=np.int64)
+    profiles[-1, 0] = 1
+    monkeypatch.setattr(mbclust.core, "_BASE", np.uint64(0))
+    state = ClusteringState(labels=np.arange(1100), profiles=profiles, remaining_features=tuple(range(1000)))
+    assert group_matching(state).entities == (tuple(range(1099)), (1099,))

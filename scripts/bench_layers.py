@@ -46,7 +46,14 @@ After the sizes, the script times the quadratic ``mbclust similarity``
 command with ``lin`` and with ``goodall`` on a planted CSV of n = 2500
 (``SIMILARITY_N``), writing CSV output (``cli_similarity_<measure>``) and
 JSON output (``cli_similarity_<measure>_json``) to a temporary file, in
-child processes as above, with the SHA-256 of each output. The results,
+child processes as above, with the SHA-256 of each output.
+
+Last, ``run_wide`` times ``run()`` with ``MbcConfig(anti_merge=False)``
+on planted codes of 20 000 objects and 200 features (``WIDE``; same
+categories, prototypes and noise), where the loop keeps many columns for
+many rounds. Each run is a fresh child process that builds the codes,
+then reports the seconds of ``run()``, its own ``VmHWM`` and the SHA-256
+of the labels of every dendrogram level. The results,
 with the machine they were taken on and the line count of the package
 (``source_lines``: the ``wc -l`` of each ``src/mbclust/*.py`` file and
 their total), go to the JSON file named on the command line.
@@ -79,29 +86,36 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 import mbclust  # noqa: E402
-from mbclust import cli, contingency, importance_report, load_csv, run, writers  # noqa: E402
+from mbclust import MbcConfig, cli, contingency, importance_report, load_csv, run, writers  # noqa: E402
 
 FEATURES = 20
 CATEGORIES = 3
 PROTOTYPES = 20
 NOISE = 0.15
 SIZES = (2500, 20000, 100000)
+WIDE = (20000, 200)
 SIMILARITY_N = 2500
 SIMILARITY_MEASURES = ("lin", "goodall")
 REPEATS = 3
 SEED = 0
 
 
-def planted_csv(path: Path, n: int, seed: int) -> None:
-    """Write ``n`` planted objects as a CSV with string categories."""
+def planted_codes(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of ``n`` planted objects over ``m`` features, and each object's prototype."""
     rng = np.random.default_rng(seed)
-    protos = rng.integers(0, CATEGORIES, size=(PROTOTYPES, FEATURES))
+    protos = rng.integers(0, CATEGORIES, size=(PROTOTYPES, m))
     labels = rng.permutation(np.arange(n) % PROTOTYPES)
     codes = protos[labels]
     flips = round(NOISE * n)
-    for j in range(FEATURES):
+    for j in range(m):
         rows = rng.choice(n, size=flips, replace=False)
         codes[rows, j] = (codes[rows, j] + rng.integers(1, CATEGORIES, size=flips)) % CATEGORIES
+    return codes, labels
+
+
+def planted_csv(path: Path, n: int, seed: int) -> None:
+    """Write ``n`` planted objects as a CSV with string categories."""
+    codes, labels = planted_codes(n, FEATURES, seed)
     header = ",".join([f"f{j:02d}" for j in range(FEATURES)] + ["label"])
     lines = [",".join(f"v{c}" for c in row) + f",p{lab:02d}" for row, lab in zip(codes.tolist(), labels.tolist())]
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
@@ -118,7 +132,7 @@ def peak_rss_mb() -> float | None:
     return None
 
 
-# Run in a fresh interpreter by cli_child, with this script's folder and the
+# Run in a fresh interpreter by bench_command, with this script's folder and the
 # command's arguments as its arguments: one mbclust command, then its
 # seconds and the child's own peak RSS as JSON.
 _CLI_CHILD = """
@@ -129,6 +143,23 @@ started = time.perf_counter()
 status = bench_layers.cli.main(sys.argv[2:])
 seconds = time.perf_counter() - started
 print(json.dumps({"status": status, "seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb()}))
+"""
+
+
+# Run in a fresh interpreter by bench_wide_run, with this script's folder,
+# n and m as its arguments: run() without the containment rule on planted
+# codes, then its seconds, the child's own peak RSS and the SHA-256 of the
+# labels of every dendrogram level as JSON.
+_RUN_CHILD = """
+import hashlib, json, sys, time
+sys.path.insert(0, sys.argv[1])
+import bench_layers
+codes, _ = bench_layers.planted_codes(int(sys.argv[2]), int(sys.argv[3]), bench_layers.SEED)
+started = time.perf_counter()
+result = bench_layers.run(codes, bench_layers.MbcConfig(anti_merge=False))
+seconds = time.perf_counter() - started
+labels = hashlib.sha256(result.dendrogram.labels.tobytes()).hexdigest()
+print(json.dumps({"seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb(), "labels_sha256": labels}))
 """
 
 
@@ -151,24 +182,41 @@ def bench_import() -> dict:
     return {"min_s": min(seconds), "median_s": statistics.median(seconds)}
 
 
-def cli_child(argv: list[str]) -> dict:
-    """Seconds and peak RSS of one mbclust command, in a fresh process."""
-    proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, str(Path(__file__).resolve().parent), *argv],
+def child(script: str, *args: str) -> dict:
+    """The JSON that ``script`` prints last, run in a fresh interpreter with
+    this script's folder and ``args`` as its arguments."""
+    proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).resolve().parent), *args],
                           capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    if result.pop("status") != 0:
-        raise RuntimeError(f"mbclust {' '.join(argv)} failed: {proc.stderr.strip()}")
+    if result.pop("status", 0) != 0:
+        raise RuntimeError(f"mbclust {' '.join(args)} failed: {proc.stderr.strip()}")
     return result
+
+
+def summary(runs: list[dict]) -> dict:
+    """Minimum and median seconds and largest peak of child runs."""
+    seconds = [r["seconds"] for r in runs]
+    peaks = [r["peak_rss_mb"] for r in runs if r["peak_rss_mb"] is not None]
+    return {"min_s": min(seconds), "median_s": statistics.median(seconds), "peak_rss_mb": max(peaks) if peaks else None}
 
 
 def bench_command(argv: list[str], outputs: list[Path]) -> dict:
     """``REPEATS`` child runs of one command: minimum and median seconds,
     largest peak, and the SHA-256 of each output file of the last run."""
-    runs = [cli_child(argv) for _ in range(REPEATS)]
-    seconds = [r["seconds"] for r in runs]
-    peaks = [r["peak_rss_mb"] for r in runs if r["peak_rss_mb"] is not None]
-    return {"min_s": min(seconds), "median_s": statistics.median(seconds), "peak_rss_mb": max(peaks) if peaks else None,
+    return {**summary([child(_CLI_CHILD, *argv) for _ in range(REPEATS)]),
             "sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}}
+
+
+def bench_wide_run() -> dict:
+    """``REPEATS`` child runs of ``run()`` without the containment rule on
+    ``WIDE`` planted codes: minimum and median seconds, largest peak and
+    the SHA-256 of the level labels, which every run must agree on."""
+    n, m = WIDE
+    runs = [child(_RUN_CHILD, str(n), str(m)) for _ in range(REPEATS)]
+    digests = {r["labels_sha256"] for r in runs}
+    if len(digests) != 1:
+        raise RuntimeError(f"run() on {n} x {m} gave different labels: {sorted(digests)}")
+    return {"n": n, "m": m, **summary(runs), "labels_sha256": digests.pop()}
 
 
 def bench_similarity(work: Path) -> dict:
@@ -250,6 +298,9 @@ def main(argv=None) -> int:
         similarity = bench_similarity(Path(tmp))
         for name, v in similarity["layers"].items():
             print(f"n={SIMILARITY_N}: {name} {v['median_s']:.4f} s, peak RSS {v['peak_rss_mb']} MB", file=sys.stderr)
+    wide = bench_wide_run()
+    print(f"{WIDE[0]} x {WIDE[1]}: run_wide {wide['median_s']:.4f} s, peak RSS {wide['peak_rss_mb']} MB",
+          file=sys.stderr)
     report = {
         "data": {"features": FEATURES, "categories": CATEGORIES, "prototypes": PROTOTYPES, "noise": NOISE,
                  "seed": SEED},
@@ -259,6 +310,7 @@ def main(argv=None) -> int:
         "import": import_layer,
         "sizes": results,
         "similarity": similarity,
+        "run_wide": wide,
         "source_lines": source_lines(),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -53,7 +53,16 @@ on planted codes of 20 000 objects and 200 features (``WIDE``; same
 categories, prototypes and noise), where the loop keeps many columns for
 many rounds. Each run is a fresh child process that builds the codes,
 then reports the seconds of ``run()``, its own ``VmHWM`` and the SHA-256
-of the labels of every dendrogram level. The results,
+of the labels of every dendrogram level.
+
+Then ``run_pgp2`` times ``run()`` with ``MbcConfig(tie_policy="pgp2",
+anti_merge=False)`` on ``PGP2_N`` (5000) objects whose 20 features tie
+for least important in many rounds, so the pgp2 tie-break sweeps
+(``importance.pgp2_kept_counts``) dominate: 10 independent permutations
+of a balanced 3-category column beside 10 of a balanced 2-category
+column. Each run is a fresh child process, as for ``run_wide``, that
+also reports the number of sweeps and the candidates of each; it counts
+them by wrapping ``pgp2_kept_counts`` in the child. The results,
 with the machine they were taken on and the line count of the package
 (``source_lines``: the ``wc -l`` of each ``src/mbclust/*.py`` file and
 their total), go to the JSON file named on the command line.
@@ -94,6 +103,7 @@ PROTOTYPES = 20
 NOISE = 0.15
 SIZES = (2500, 20000, 100000)
 WIDE = (20000, 200)
+PGP2_N = 5000
 SIMILARITY_N = 2500
 SIMILARITY_MEASURES = ("lin", "goodall")
 REPEATS = 3
@@ -111,6 +121,13 @@ def planted_codes(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         rows = rng.choice(n, size=flips, replace=False)
         codes[rows, j] = (codes[rows, j] + rng.integers(1, CATEGORIES, size=flips)) % CATEGORIES
     return codes, labels
+
+
+def pgp2_codes(n: int, seed: int) -> np.ndarray:
+    """Codes of ``n`` objects over 20 features: 10 independent permutations of
+    a balanced 3-category column, then 10 of a balanced 2-category column."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.permutation(np.arange(n) % k) for k in (3,) * 10 + (2,) * 10], axis=1)
 
 
 def planted_csv(path: Path, n: int, seed: int) -> None:
@@ -163,6 +180,30 @@ print(json.dumps({"seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb(),
 """
 
 
+# Run in a fresh interpreter by bench_pgp2_run, with this script's folder and
+# n as its arguments: run() under the pgp2 tie-break on pgp2_codes, then its
+# seconds, the child's own peak RSS, the SHA-256 of the level labels and the
+# number of candidates of each pgp2_kept_counts sweep as JSON.
+_PGP2_CHILD = """
+import hashlib, json, sys, time
+sys.path.insert(0, sys.argv[1])
+import bench_layers
+import mbclust.core
+sweeps, kept_counts = [], mbclust.core.pgp2_kept_counts
+def counted(data, candidates, alpha=0.0):
+    sweeps.append(len(candidates))
+    return kept_counts(data, candidates, alpha)
+mbclust.core.pgp2_kept_counts = counted
+codes = bench_layers.pgp2_codes(int(sys.argv[2]), bench_layers.SEED)
+started = time.perf_counter()
+result = bench_layers.run(codes, bench_layers.MbcConfig(tie_policy="pgp2", anti_merge=False))
+seconds = time.perf_counter() - started
+labels = hashlib.sha256(result.dendrogram.labels.tobytes()).hexdigest()
+print(json.dumps({"seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb(), "labels_sha256": labels,
+                  "sweeps": len(sweeps), "sweep_candidates": sweeps}))
+"""
+
+
 # Run in a fresh interpreter with the package's source folder as its argument:
 # the seconds of importing the CLI module, which imports the whole package.
 _IMPORT_CHILD = """
@@ -207,16 +248,25 @@ def bench_command(argv: list[str], outputs: list[Path]) -> dict:
             "sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}}
 
 
+def bench_runs(script: str, *args: str) -> dict:
+    """``REPEATS`` child runs of ``script``: minimum and median seconds, largest
+    peak, and the other fields of a run, which every run must agree on."""
+    runs = [child(script, *args) for _ in range(REPEATS)]
+    facts = {json.dumps({k: v for k, v in r.items() if k not in ("seconds", "peak_rss_mb")}) for r in runs}
+    if len(facts) != 1:
+        raise RuntimeError(f"runs with arguments {args} disagree: {sorted(facts)}")
+    return {**summary(runs), **json.loads(facts.pop())}
+
+
 def bench_wide_run() -> dict:
-    """``REPEATS`` child runs of ``run()`` without the containment rule on
-    ``WIDE`` planted codes: minimum and median seconds, largest peak and
-    the SHA-256 of the level labels, which every run must agree on."""
+    """Child runs of ``run()`` without the containment rule on ``WIDE`` planted codes."""
     n, m = WIDE
-    runs = [child(_RUN_CHILD, str(n), str(m)) for _ in range(REPEATS)]
-    digests = {r["labels_sha256"] for r in runs}
-    if len(digests) != 1:
-        raise RuntimeError(f"run() on {n} x {m} gave different labels: {sorted(digests)}")
-    return {"n": n, "m": m, **summary(runs), "labels_sha256": digests.pop()}
+    return {"n": n, "m": m, **bench_runs(_RUN_CHILD, str(n), str(m))}
+
+
+def bench_pgp2_run() -> dict:
+    """Child runs of ``run()`` under the pgp2 tie-break on ``PGP2_N`` objects of ``pgp2_codes``."""
+    return {"n": PGP2_N, **bench_runs(_PGP2_CHILD, str(PGP2_N))}
 
 
 def bench_similarity(work: Path) -> dict:
@@ -301,6 +351,9 @@ def main(argv=None) -> int:
     wide = bench_wide_run()
     print(f"{WIDE[0]} x {WIDE[1]}: run_wide {wide['median_s']:.4f} s, peak RSS {wide['peak_rss_mb']} MB",
           file=sys.stderr)
+    pgp2 = bench_pgp2_run()
+    print(f"n={PGP2_N}: run_pgp2 {pgp2['median_s']:.4f} s, peak RSS {pgp2['peak_rss_mb']} MB, "
+          f"{pgp2['sweeps']} sweeps of {pgp2['sweep_candidates']} candidates", file=sys.stderr)
     report = {
         "data": {"features": FEATURES, "categories": CATEGORIES, "prototypes": PROTOTYPES, "noise": NOISE,
                  "seed": SEED},
@@ -311,6 +364,7 @@ def main(argv=None) -> int:
         "sizes": results,
         "similarity": similarity,
         "run_wide": wide,
+        "run_pgp2": pgp2,
         "source_lines": source_lines(),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

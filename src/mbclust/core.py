@@ -132,7 +132,7 @@ class ClusteringState:
                 f"profiles shape {profiles.shape} does not match "
                 f"{e} entities x {len(remaining_features)} features"
             )
-        if len(labels) and (labels.min() < 0 or labels.max() >= e):
+        if labels.min(initial=0) < 0 or labels.max(initial=-1) >= e:
             raise ValueError(f"labels outside 0..{e - 1}")
         if not self.sizes.all():
             raise ValueError("an entity has no member")
@@ -263,8 +263,6 @@ def group_matching(state: ClusteringState) -> ClusteringState:
     when nothing merges.
     """
     e = len(state.profiles)
-    if e < 2:
-        return state
     group, first = state._groups
     if state.frozen:
         frozen = np.fromiter(state.frozen, dtype=np.intp, count=len(state.frozen))
@@ -290,8 +288,6 @@ def anti_merge_update(state: ClusteringState) -> ClusteringState:
     the input state unchanged when no new entity is frozen.
     """
     is_cluster = state.sizes > 1
-    if is_cluster.sum() < 2:
-        return state
     group, first = state._groups
     clusters_per_group = np.bincount(group[is_cluster], minlength=len(first))
     colliding = np.flatnonzero(is_cluster & (clusters_per_group[group] >= 2))
@@ -385,7 +381,7 @@ class Dendrogram:
 
     def __post_init__(self):
         labels = as_codes(np.array(self.labels).reshape(len(self.labels), self.n_leaves))
-        if len(labels) and (labels[0] != np.arange(self.n_leaves)).any():
+        if (labels[:1] != np.arange(self.n_leaves)).any():
             raise ValueError("level 0 must be the all-singleton partition")
         # Each level numbers its entities by first appearance (no label negative or more than one above all
         # before it) and coarsens the level before; checked level by level, so temporaries stay O(n).

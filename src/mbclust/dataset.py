@@ -72,7 +72,7 @@ def column_indices(indices, m: int, what: str = "feature index") -> list[int]:
 
 
 class Dataset:
-    """Immutable integer-encoded categorical data matrix.
+    """Immutable integer-encoded categorical data matrix, held in ``codes_matrix`` as a read-only (n, m) array.
 
     Parameters
     ----------
@@ -103,8 +103,8 @@ class Dataset:
             if len(labels) != n:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
         self.labels = labels
-        self.cells = cells
-        self.cells.setflags(write=False)
+        self.codes_matrix = cells
+        cells.setflags(write=False)
 
         freqs = []
         for name, k, column in zip(self.feature_names, map(len, self.category_labels), cells.T):
@@ -139,17 +139,12 @@ class Dataset:
     @property
     def n(self) -> int:
         """Number of objects."""
-        return self.cells.shape[0]
+        return self.codes_matrix.shape[0]
 
     @property
     def m(self) -> int:
         """Number of features."""
-        return self.cells.shape[1]
-
-    @property
-    def codes_matrix(self) -> np.ndarray:
-        """Read-only (n, m) code matrix."""
-        return self.cells
+        return self.codes_matrix.shape[1]
 
     # -- lookups --------------------------------------------------------
 
@@ -165,7 +160,7 @@ class Dataset:
 
     def row(self, i: int) -> tuple[int, ...]:
         """Code tuple of one object."""
-        return tuple(int(c) for c in self.cells[i])
+        return tuple(int(c) for c in self.codes_matrix[i])
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, m={self.m})"

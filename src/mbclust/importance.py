@@ -48,7 +48,7 @@ def match_pair_counts(codes) -> np.ndarray:
     """
     codes = as_codes(codes)
     e, f = codes.shape
-    dense = codes.size == 0 or (codes.min() >= 0 and codes.max() < e)
+    dense = codes.min(initial=0) >= 0 and codes.max(initial=-1) < e
     out = np.zeros(f, dtype=np.int64)
     for col in range(f):
         counts = np.bincount(codes[:, col]) if dense else np.unique(codes[:, col], return_counts=True)[1]

@@ -226,6 +226,11 @@ def test_group_matching_no_hits_returns_same_state(dataset_a):
     once = group_matching(initial_state(dataset_a))
     # every full-agreement pair is already fused, so nothing happens
     assert group_matching(once) is once
+    # no entity, one singleton, one cluster: nothing to merge or to freeze
+    for entities in ((), ((0,),), ((0, 1, 2),)):
+        state = ClusteringState(entities, profiles=np.zeros((len(entities), 2), dtype=np.int64),
+                                remaining_features=(0, 1))
+        assert group_matching(state) is state and anti_merge_update(state) is state
 
 
 def test_full_replay_of_example_iterations(dataset_a):
@@ -534,6 +539,7 @@ def test_dendrogram_checks_its_labels():
     assert repeated.level_sizes == (3, 2, 2, 1) and repeated.to_newick() == "((0,1),2);"
     assert [(m.iteration, m.parent, m.children) for m in repeated.merge_events] == [(0, 3, (0, 1)), (2, 4, (3, 2))]
     assert Dendrogram(n_leaves=0, labels=[[]]).level_sizes == (0,)
+    assert Dendrogram(n_leaves=3, labels=np.zeros((0, 3), int)).level_sizes == ()
 
 
 def test_levels_are_coarsenings(dataset_a):

@@ -42,7 +42,7 @@ def test_row_decode_roundtrip(dataset_a):
 def test_load_is_deterministic():
     first = load_csv(DATA_DIR / "dataset_a.csv")
     second = load_csv(DATA_DIR / "dataset_a.csv")
-    assert np.array_equal(first.cells, second.cells)
+    assert np.array_equal(first.codes_matrix, second.codes_matrix)
     assert first.category_labels == second.category_labels
 
 
@@ -54,7 +54,7 @@ def test_label_column_held_out(dataset_a_labeled):
 
 def test_cells_are_read_only(dataset_a):
     with pytest.raises(ValueError):
-        dataset_a.cells[0, 0] = 3
+        dataset_a.codes_matrix[0, 0] = 3
     with pytest.raises(ValueError):
         dataset_a.frequencies_for(0)[0] = 99
 
@@ -219,7 +219,7 @@ def test_csv_byte_order_mark_is_skipped(tmp_path):
     assert second.feature_names == first.feature_names == ("A", "B")
     assert second.labels == first.labels == ("p", "q")
     assert second.category_labels == first.category_labels
-    assert np.array_equal(second.cells, first.cells)
+    assert np.array_equal(second.codes_matrix, first.codes_matrix)
 
 
 def test_csv_unknown_policy(tmp_path):
@@ -243,7 +243,7 @@ def test_csv_padded_text_before_plain_shares_its_code(tmp_path):
     path.write_text("A,B\n a,x\nb,x\na,x\na ,y\n")
     data = load_csv(path)
     assert data.category_labels == (("a", "b"), ("x", "y"))
-    assert data.cells.tolist() == [[0, 0], [1, 0], [0, 0], [0, 1]]
+    assert data.codes_matrix.tolist() == [[0, 0], [1, 0], [0, 0], [0, 1]]
 
 
 def test_csv_missing_after_every_category_is_known(tmp_path):
@@ -269,7 +269,7 @@ def test_csv_missing_markers_share_one_category(tmp_path):
     path.write_text('A,B\nx,\n?,y\n" ? ",y\nx,?\n')
     data = load_csv(path, missing_policy="category")
     assert data.category_labels == (("x", "?"), ("?", "y"))
-    assert data.cells.tolist() == [[0, 0], [1, 1], [1, 1], [0, 0]]
+    assert data.codes_matrix.tolist() == [[0, 0], [1, 1], [1, 1], [0, 0]]
 
 
 def test_csv_one_feature(tmp_path):
@@ -278,9 +278,9 @@ def test_csv_one_feature(tmp_path):
     data = load_csv(path, label_column="label")
     assert data.feature_names == ("A",)
     assert data.category_labels == (("xy", "z"),)
-    assert data.cells.tolist() == [[0], [1], [0]]
+    assert data.codes_matrix.tolist() == [[0], [1], [0]]
     assert data.labels == ("p", "q", "r")
-    assert load_csv(path).cells.tolist() == [[0, 0], [1, 1], [2, 0]]
+    assert load_csv(path).codes_matrix.tolist() == [[0, 0], [1, 1], [2, 0]]
 
 
 def test_csv_structural_errors(tmp_path):

@@ -87,6 +87,16 @@ def test_run_equals_matrix_loop(measure, ties, anti_merge, codes, k, alpha):
 
 
 @pytest.mark.parametrize("measure, ties, anti_merge", GRID)
+def test_run_equals_matrix_loop_on_every_tiny_input(measure, ties, anti_merge):
+    """Every input of one or two rows and up to two binary features, where
+    the loop meets at most two entities and at most one cluster."""
+    config = MbcConfig(importance_measure=measure, tie_policy=ties, anti_merge=anti_merge)
+    for n, m in itertools.product((1, 2), repeat=2):
+        for cells in itertools.product((0, 1), repeat=n * m):
+            assert_run_equals_matrix_loop(np.array(cells, dtype=np.int64).reshape(n, m), config)
+
+
+@pytest.mark.parametrize("measure, ties, anti_merge", GRID)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(codes=code_matrices(), k=st.sampled_from([None, 1, 2, 3, 5]), alpha=st.sampled_from([0.0, 1.0, 2.5]))

@@ -28,6 +28,8 @@ from pgp2_matrix import pgp2, pgp2_counts
 def test_match_pair_counts(dataset_a):
     assert tuple(match_pair_counts(dataset_a.codes_matrix)) == MATCH_PAIRS_A
     assert tuple(match_pair_counts(dataset_a)) == MATCH_PAIRS_A
+    assert match_pair_counts(np.zeros((0, 2), int)).tolist() == [0, 0]
+    assert match_pair_counts(np.zeros((3, 0), int)).tolist() == []
 
 
 # No code lies between about 1e8 and 1e12, where a count sized by the

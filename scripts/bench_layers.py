@@ -43,10 +43,15 @@ largest peak and the SHA-256 of each output file are kept (the manifest
 holds the command's seconds, so its digest differs from run to run).
 
 After the sizes, the script times the quadratic ``mbclust similarity``
-command with ``lin`` and with ``goodall`` on a planted CSV of n = 2500
-(``SIMILARITY_N``), writing CSV output (``cli_similarity_<measure>``) and
-JSON output (``cli_similarity_<measure>_json``) to a temporary file, in
-child processes as above, with the SHA-256 of each output.
+command on planted CSVs of n = 300 (the size of perfbench's
+``pairwise-measures`` workload) and n = 2500 (``SIMILARITY_SIZES``):
+with ``lin`` and with ``goodall``, writing CSV output
+(``cli_similarity_<measure>``) and JSON output
+(``cli_similarity_<measure>_json``), and goodall then lin in JSON in one
+process (``cli_similarity_goodall_lin_json``), as that workload's
+operation runs them. Each run is a fresh child process that reports the
+seconds of its commands, its own ``VmHWM`` and the SHA-256 of each
+output; the runs of a layer must agree on the digests.
 
 Last, ``run_wide`` times ``run()`` with ``MbcConfig(anti_merge=False)``
 on planted codes of 20 000 objects and 200 features (``WIDE``; same
@@ -104,7 +109,7 @@ NOISE = 0.15
 SIZES = (2500, 20000, 100000)
 WIDE = (20000, 200)
 PGP2_N = 5000
-SIMILARITY_N = 2500
+SIMILARITY_SIZES = (300, 2500)
 SIMILARITY_MEASURES = ("lin", "goodall")
 REPEATS = 3
 SEED = 0
@@ -160,6 +165,26 @@ started = time.perf_counter()
 status = bench_layers.cli.main(sys.argv[2:])
 seconds = time.perf_counter() - started
 print(json.dumps({"status": status, "seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb()}))
+"""
+
+
+# Run in a fresh interpreter by bench_similarity, with this script's folder, a
+# CSV, a format, an output folder and measures as its arguments: mbclust
+# similarity of each measure in turn, then their seconds, the child's own
+# peak RSS and the SHA-256 of each output as JSON.
+_SIMILARITY_CHILD = """
+import hashlib, json, sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import bench_layers
+csv_path, fmt, out, measures = sys.argv[2], sys.argv[3], Path(sys.argv[4]), sys.argv[5:]
+outputs = [out / f"similarity_{measure}.{fmt}" for measure in measures]
+started = time.perf_counter()
+statuses = [bench_layers.cli.main(["similarity", csv_path, "--label-column", "label", "--measure", measure,
+                                   "--format", fmt, "--out", str(path)]) for measure, path in zip(measures, outputs)]
+seconds = time.perf_counter() - started
+print(json.dumps({"status": max(statuses), "seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb(),
+                  "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs if p.exists()}}))
 """
 
 
@@ -269,18 +294,20 @@ def bench_pgp2_run() -> dict:
     return {"n": PGP2_N, **bench_runs(_PGP2_CHILD, str(PGP2_N))}
 
 
-def bench_similarity(work: Path) -> dict:
-    """``REPEATS`` child runs per measure and format on planted data of ``SIMILARITY_N`` objects."""
-    csv_path = work / f"similarity_{SIMILARITY_N}.csv"
-    planted_csv(csv_path, SIMILARITY_N, SEED)
+def bench_similarity(n: int, work: Path) -> dict:
+    """``REPEATS`` child runs per measure and format, and of goodall then lin in JSON, on planted data of ``n``
+    objects."""
+    csv_path = work / f"similarity_{n}.csv"
+    planted_csv(csv_path, n, SEED)
+    runs = {f"{measure}{suffix}": (fmt, measure) for measure in SIMILARITY_MEASURES
+            for fmt, suffix in (("csv", ""), ("json", "_json"))}
+    runs["goodall_lin_json"] = ("json", "goodall", "lin")
     layers = {}
-    for measure in SIMILARITY_MEASURES:
-        for fmt, suffix in (("csv", ""), ("json", "_json")):
-            out = work / f"similarity_{measure}.{fmt}"
-            argv = ["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--format", fmt,
-                    "--out", str(out)]
-            layers[f"cli_similarity_{measure}{suffix}"] = bench_command(argv, [out])
-    return {"n": SIMILARITY_N, "layers": layers}
+    for name, (fmt, *measures) in runs.items():
+        out = work / f"similarity_{n}_{name}"
+        out.mkdir()
+        layers[f"cli_similarity_{name}"] = bench_runs(_SIMILARITY_CHILD, str(csv_path), fmt, str(out), *measures)
+    return {"n": n, "layers": layers}
 
 
 def timed(operation) -> tuple[dict, object]:
@@ -345,9 +372,10 @@ def main(argv=None) -> int:
                   + f", peak RSS {results[-1]['peak_rss_mb_so_far']} MB in process, "
                   + ", ".join(f"{name} {v['peak_rss_mb']} MB" for name, v in layers.items() if "peak_rss_mb" in v),
                   file=sys.stderr)
-        similarity = bench_similarity(Path(tmp))
-        for name, v in similarity["layers"].items():
-            print(f"n={SIMILARITY_N}: {name} {v['median_s']:.4f} s, peak RSS {v['peak_rss_mb']} MB", file=sys.stderr)
+        similarity = [bench_similarity(n, Path(tmp)) for n in SIMILARITY_SIZES]
+        for size in similarity:
+            for name, v in size["layers"].items():
+                print(f"n={size['n']}: {name} {v['median_s']:.4f} s, peak RSS {v['peak_rss_mb']} MB", file=sys.stderr)
     wide = bench_wide_run()
     print(f"{WIDE[0]} x {WIDE[1]}: run_wide {wide['median_s']:.4f} s, peak RSS {wide['peak_rss_mb']} MB",
           file=sys.stderr)

@@ -115,16 +115,6 @@ def _table(rows: list[list[str]], right: bool) -> str:
     )
 
 
-def _config_echo(config: MbcConfig) -> dict:
-    return {
-        "importance": config.importance_measure,
-        "ties": config.tie_policy,
-        "anti_merge": config.anti_merge,
-        "alpha": config.alpha,
-        "k": config.k,
-    }
-
-
 def _cmd_cluster(args) -> int:
     started = time.perf_counter()
     data = _load_dataset(args)
@@ -134,7 +124,8 @@ def _cmd_cluster(args) -> int:
 
     manifest = {
         "input": args.csv,
-        "config": _config_echo(config),
+        "config": {"importance": config.importance_measure, "ties": config.tie_policy,
+                   "anti_merge": config.anti_merge, "alpha": config.alpha, "k": config.k},
         "iterations": len(result.trace),
         "per_iteration": [
             {"iteration": rec.iteration, "theta": rec.theta, "dropped": list(rec.dropped)}

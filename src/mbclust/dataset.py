@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import operator
 from array import array
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,7 @@ def column_indices(indices, m: int, what: str = "feature index") -> list[int]:
     return columns
 
 
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable integer-encoded categorical data matrix, held in ``codes_matrix`` as a read-only (n, m) array.
 
@@ -86,34 +88,38 @@ class Dataset:
         Per-object class labels, held out from clustering (evaluation only).
     """
 
-    def __init__(self, cells, feature_names, category_labels, labels=None):
+    cells: InitVar[object]
+    feature_names: tuple[str, ...]
+    category_labels: tuple[tuple[str, ...], ...]
+    labels: tuple[str, ...] | None = None
+    codes_matrix: np.ndarray = field(init=False)
+
+    def __post_init__(self, cells):
         # always copy so freezing the cells cannot affect a caller's array
         cells = as_codes(cells).copy()
         n, m = cells.shape
         if n < 1 or m < 1:
             raise ValueError("dataset needs at least one object and one feature")
-        self.feature_names = tuple(str(name) for name in feature_names)
-        if len(self.feature_names) != m:
-            raise ValueError(f"expected {m} feature names, got {len(self.feature_names)}")
-        self.category_labels = tuple(tuple(cats) for cats in category_labels)
-        if len(self.category_labels) != m:
-            raise ValueError(f"expected {m} category code books, got {len(self.category_labels)}")
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise ValueError(f"expected {n} labels, got {len(labels)}")
-        self.labels = labels
-        self.codes_matrix = cells
+        feature_names = tuple(str(name) for name in self.feature_names)
+        if len(feature_names) != m:
+            raise ValueError(f"expected {m} feature names, got {len(feature_names)}")
+        category_labels = tuple(tuple(cats) for cats in self.category_labels)
+        if len(category_labels) != m:
+            raise ValueError(f"expected {m} category code books, got {len(category_labels)}")
+        labels = None if self.labels is None else tuple(str(x) for x in self.labels)
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(labels)}")
         cells.setflags(write=False)
 
         freqs = []
-        for name, k, column in zip(self.feature_names, map(len, self.category_labels), cells.T):
+        for name, k, column in zip(feature_names, map(len, category_labels), cells.T):
             if column.min() < 0 or column.max() >= k:
                 raise ValueError(f"feature {name!r}: " + (f"cell code outside 0..{k - 1}" if k else "no categories"))
             counts = np.bincount(column, minlength=k)
             counts.setflags(write=False)
             freqs.append(counts)
-        self._frequencies = tuple(freqs)
+        self.__dict__.update(feature_names=feature_names, category_labels=category_labels, labels=labels,
+                             codes_matrix=cells, _frequencies=tuple(freqs))
 
     @classmethod
     def from_codes(cls, codes) -> "Dataset":

@@ -15,8 +15,8 @@ Pairwise similarity is kept in two forms:
 
 :func:`pairwise_blocks` scores every pair of a dataset under any of these
 measures, or as raw match counts, one block of rows at a time; each
-block adds the features in order, gathering each feature's terms from
-small tables indexed by category frequency, and holds about
+feature in order adds its terms to the block's sums, gathered from small
+tables indexed by category frequency, and a block holds about
 ``_BLOCK_CELLS`` cells whatever n is. Its values equal, bit for bit,
 those of the single-pair functions.
 """
@@ -185,8 +185,8 @@ class _Feature:
     ``table[g[i], g[j]]``, or ``match[g[i]]`` where their categories
     agree, when ``match`` is given. Lin has two ``(table, match)``
     sources, numerator and denominator; the other measures have one,
-    where a mismatch scores 0. Nothing held grows with the square of n
-    or of the category count.
+    where a mismatch scores 0; :meth:`add_terms` adds each to its sum.
+    Nothing held grows with the square of n or of the category count.
     """
 
     def __init__(self, column: np.ndarray, counts: np.ndarray, n: int, measure: str):
@@ -207,21 +207,22 @@ class _Feature:
                 mismatch[u, v] = mismatch[v, u] = 2.0 * math.log(p[u] + p[v])
         self.sources = [(mismatch, 2.0 * log_p), (log_p[:, None] + log_p[None, :], None)]
 
-    def gather(self, table: np.ndarray, match, a: int, b: int, out: np.ndarray) -> np.ndarray:
-        """Write the terms of rows ``a <= i < b`` against every ``j`` into ``out``.
+    def add_terms(self, sums: list[np.ndarray], a: int, b: int) -> None:
+        """Add the terms of rows ``a <= i < b`` against every ``j`` to ``sums``, one sum per source.
 
-        The u categories held in those rows get their terms against every
-        category (match terms where the two agree), then against every
-        object, and each row copies the row of its category. As u is at
-        most ``b - a``, nothing larger than one block is built, whatever
-        the number of categories.
+        The u categories held in those rows are grouped once. Each source
+        gives them their terms against every category (match terms where
+        the two agree), then against every object, and each row takes the
+        row of its category. As u is at most ``b - a``, nothing larger than
+        one block is built, whatever the number of categories.
         """
         present, row_of = np.unique(self.category[a:b], return_inverse=True)
-        by_category = table[np.ix_(self.group[present], self.group)]
-        if match is not None:
-            by_category[np.arange(len(present)), present] = match[self.group[present]]
-        rows = np.take(by_category, self.category, axis=1)
-        return np.take(rows, row_of, axis=0, out=out, mode="clip")  # in range; "clip" skips a buffer
+        groups = self.group[present]
+        for total, (table, match) in zip(sums, self.sources):
+            by_category = table[np.ix_(groups, self.group)]
+            if match is not None:
+                by_category[np.arange(len(present)), present] = match[groups]
+            total += np.take(by_category, self.category, axis=1)[row_of]
 
 
 def pairwise_blocks(data, measure: str):
@@ -231,9 +232,9 @@ def pairwise_blocks(data, measure: str):
     ``goodall`` or ``lin``; entry ``(i, j)`` equals the single-pair score
     of rows ``i`` and ``j`` bit for bit. Each block scores rows ``a..b``
     against all n objects, about ``_BLOCK_CELLS`` cells (at least one
-    row), adding the features in order, so only one block and its
-    temporaries are held. Every error of the measure is raised by this
-    call, before the first block is computed.
+    row), in one sum per term source to which each feature in order adds
+    its terms, so only one block and its temporaries are held. Every error
+    of the measure is raised by this call, before the first block is computed.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -245,17 +246,14 @@ def pairwise_blocks(data, measure: str):
         raise DegenerateDataError("every scored category is held by all objects; similarity is undefined")
     codes = data.codes_matrix
     features = [_Feature(codes[:, f], data.frequencies_for(f), n, measure) for f in range(m)]
-    dtype = np.int64 if measure in ("cm", "overlap") else np.float64
 
     def blocks():
         step = max(1, _BLOCK_CELLS // n)
         for a in range(0, n, step):
             b = min(n, a + step)
-            sums = [np.zeros((b - a, n), dtype=dtype) for _ in range(2 if measure == "lin" else 1)]
-            buf = np.empty((b - a, n), dtype=dtype)
+            sums = [np.zeros((b - a, n), dtype=table.dtype) for table, _ in features[0].sources]
             for feature in features:
-                for total, (table, match) in zip(sums, feature.sources):
-                    total += feature.gather(table, match, a, b, out=buf)
+                feature.add_terms(sums, a, b)
             if measure == "lin":
                 sums[0] /= sums[1]
             yield sums[0] / m if measure in ("overlap", "goodall") else sums[0]

@@ -5,7 +5,9 @@ show only when someone runs it. Each layer here is one fresh child
 process per run, as in the bench.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,16 @@ def test_bench_command_of_cluster_digests_its_outputs(bench_layers, tmp_path, mo
     assert all(set(layer) == {"min_s", "median_s", "peak_rss_mb", "sha256"} for layer in layers)
     assert set(layers[0]["sha256"]) == {path.name for path in outputs.values()}
     assert layers[0]["sha256"] == layers[1]["sha256"]
+
+
+def test_similarity_child_digests_each_output(bench_layers, tmp_path):
+    csv_path = tmp_path / "planted.csv"
+    bench_layers.planted_csv(csv_path, 300, bench_layers.SEED)
+    run = bench_layers.child(bench_layers._SIMILARITY_CHILD, str(csv_path), "json", str(tmp_path), "goodall", "lin")
+    assert set(run) == {"seconds", "peak_rss_mb", "sha256"}
+    outputs = [tmp_path / "similarity_goodall.json", tmp_path / "similarity_lin.json"]
+    assert run["sha256"] == {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
+    assert json.loads(outputs[1].read_text())["n"] == 300
 
 
 def test_source_lines_counts_the_newlines_of_each_package_file(bench_layers):

@@ -59,6 +59,15 @@ def test_cells_are_read_only(dataset_a):
         dataset_a.frequencies_for(0)[0] = 99
 
 
+@pytest.mark.parametrize("name", ["codes_matrix", "feature_names", "category_labels", "labels"])
+def test_fields_cannot_be_rebound(dataset_a_labeled, name):
+    row, counts = dataset_a_labeled.row(0), dataset_a_labeled.frequencies_for(0).copy()
+    with pytest.raises(AttributeError):
+        setattr(dataset_a_labeled, name, getattr(dataset_a_labeled, name)[:1])
+    assert dataset_a_labeled.row(0) == row
+    assert np.array_equal(dataset_a_labeled.frequencies_for(0), counts)
+
+
 def test_from_codes_defaults():
     data = Dataset.from_codes([[0, 1], [1, 0], [0, 0]])
     assert data.feature_names == ("f0", "f1")

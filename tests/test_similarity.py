@@ -193,6 +193,22 @@ def test_pairwise_blocks_hold_at_most_block_cells_or_one_row(dataset_a, block_ce
             assert stacked_blocks(dataset_a, measure).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("measure", ["cm", "overlap", "goodall", "lin"])
+def test_each_feature_groups_a_block_once(dataset_a, monkeypatch, measure):
+    """Lin's two term sources share one grouping of the block's categories, as the one source of the others does."""
+    monkeypatch.setattr(mbclust.similarity, "_BLOCK_CELLS", 40)  # blocks of 4, 4 and 2 rows
+    blocks = pairwise_blocks(dataset_a, measure)
+    calls, unique = [], np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    assert [len(block) for block in blocks] == [4, 4, 2]
+    assert [len(values) for values in calls] == [4] * dataset_a.m + [4] * dataset_a.m + [2] * dataset_a.m
+
+
 def test_pairwise_matrix_scores_no_single_pair(dataset_a, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-pair scoring called")

@@ -28,49 +28,51 @@ After each size the script reads ``VmHWM`` (the peak resident set size of
 this process) from ``/proc/self/status``; sizes run in ascending order, so
 each reading is the peak up to and including that size.
 
-Then, at each size, it runs the commands themselves, each run in a fresh
-child process that reports the seconds of the command and its own
-``VmHWM``, so that the reading is the command's peak alone (``ru_maxrss``
-would not do, as Linux carries a forked parent's peak across ``exec``):
+Every other layer runs ``REPEATS`` times, each run in a fresh child
+process. A child is a function of this script that ``child_main`` runs:
+it sets up untimed, times one operation, and reports the seconds, its own
+``VmHWM``, read before anything else is computed, so that the reading is
+the operation's peak alone (``ru_maxrss`` would not do, as Linux carries a
+forked parent's peak across ``exec``), and the facts of its outputs. All
+runs of a layer must agree on the facts; the minimum and median seconds
+and the largest peak are kept with them.
+
+``commands_child`` runs mbclust commands in turn, and its facts are the
+SHA-256 of each output file. At each size it runs:
 
 - ``cli_cluster``: ``mbclust cluster --format json`` with all five
   outputs (``--out`` and the dendrogram, Newick, trace and manifest
-  files); its run manifest, which it also writes to stderr, is dropped;
+  files); the manifest holds the command's seconds, so it is written but
+  not digested, and its copy on stderr is dropped;
 - ``cli_dendrogram``: ``mbclust dendrogram`` with its JSON in ``--out``.
 
-Each command runs ``REPEATS`` times; the minimum and median seconds, the
-largest peak and the SHA-256 of each output file are kept (the manifest
-holds the command's seconds, so its digest differs from run to run).
+After the sizes, it runs the quadratic ``mbclust similarity`` command on
+planted CSVs of n = 300 (the size of perfbench's ``pairwise-measures``
+workload) and n = 2500 (``SIMILARITY_SIZES``): with ``lin`` and with
+``goodall``, writing CSV output (``cli_similarity_<measure>``) and JSON
+output (``cli_similarity_<measure>_json``), and goodall then lin in JSON
+in one process (``cli_similarity_goodall_lin_json``), as that workload's
+operation runs them.
 
-After the sizes, the script times the quadratic ``mbclust similarity``
-command on planted CSVs of n = 300 (the size of perfbench's
-``pairwise-measures`` workload) and n = 2500 (``SIMILARITY_SIZES``):
-with ``lin`` and with ``goodall``, writing CSV output
-(``cli_similarity_<measure>``) and JSON output
-(``cli_similarity_<measure>_json``), and goodall then lin in JSON in one
-process (``cli_similarity_goodall_lin_json``), as that workload's
-operation runs them. Each run is a fresh child process that reports the
-seconds of its commands, its own ``VmHWM`` and the SHA-256 of each
-output; the runs of a layer must agree on the digests.
+``run_child`` times ``run()`` without the containment rule
+(``anti_merge=False``), and its facts are the SHA-256 of the labels of
+every dendrogram level:
 
-Last, ``run_wide`` times ``run()`` with ``MbcConfig(anti_merge=False)``
-on planted codes of 20 000 objects and 200 features (``WIDE``; same
-categories, prototypes and noise), where the loop keeps many columns for
-many rounds. Each run is a fresh child process that builds the codes,
-then reports the seconds of ``run()``, its own ``VmHWM`` and the SHA-256
-of the labels of every dendrogram level.
+- ``run_wide``: on planted codes of 20 000 objects and 200 features
+  (``WIDE``; same categories, prototypes and noise), where the loop keeps
+  many columns for many rounds;
+- ``run_wide_large``: the same at the largest of ``SIZES``, 100 000 x 200;
+- ``run_pgp2``: with ``tie_policy="pgp2"`` on ``PGP2_N`` (5000) objects
+  whose 20 features tie for least important in many rounds, so the pgp2
+  tie-break sweeps (``importance.pgp2_kept_counts``) dominate: 10
+  independent permutations of a balanced 3-category column beside 10 of
+  a balanced 2-category column. Its facts also hold the number of sweeps
+  and the candidates of each, counted by wrapping ``pgp2_kept_counts`` in
+  the child.
 
-Then ``run_pgp2`` times ``run()`` with ``MbcConfig(tie_policy="pgp2",
-anti_merge=False)`` on ``PGP2_N`` (5000) objects whose 20 features tie
-for least important in many rounds, so the pgp2 tie-break sweeps
-(``importance.pgp2_kept_counts``) dominate: 10 independent permutations
-of a balanced 3-category column beside 10 of a balanced 2-category
-column. Each run is a fresh child process, as for ``run_wide``, that
-also reports the number of sweeps and the candidates of each; it counts
-them by wrapping ``pgp2_kept_counts`` in the child. The results,
-with the machine they were taken on and the line count of the package
-(``source_lines``: the ``wc -l`` of each ``src/mbclust/*.py`` file and
-their total), go to the JSON file named on the command line.
+The results, with the machine they were taken on and the line count of
+the package (``source_lines``: the ``wc -l`` of each ``src/mbclust/*.py``
+file and their total), go to the JSON file named on the command line.
 
 Usage::
 
@@ -100,7 +102,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 import mbclust  # noqa: E402
-from mbclust import MbcConfig, cli, contingency, importance_report, load_csv, run, writers  # noqa: E402
+from mbclust import MbcConfig, cli, contingency, core, importance_report, load_csv, run, writers  # noqa: E402
 
 FEATURES = 20
 CATEGORIES = 3
@@ -128,11 +130,12 @@ def planted_codes(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, labels
 
 
-def pgp2_codes(n: int, seed: int) -> np.ndarray:
-    """Codes of ``n`` objects over 20 features: 10 independent permutations of
-    a balanced 3-category column, then 10 of a balanced 2-category column."""
+def pgp2_codes(n: int, m: int, seed: int) -> np.ndarray:
+    """Codes of ``n`` objects over ``m`` features: ``m // 2`` independent
+    permutations of a balanced 3-category column, then the others of a
+    balanced 2-category column."""
     rng = np.random.default_rng(seed)
-    return np.stack([rng.permutation(np.arange(n) % k) for k in (3,) * 10 + (2,) * 10], axis=1)
+    return np.stack([rng.permutation(np.arange(n) % k) for k in (3,) * (m // 2) + (2,) * (m - m // 2)], axis=1)
 
 
 def planted_csv(path: Path, n: int, seed: int) -> None:
@@ -154,83 +157,9 @@ def peak_rss_mb() -> float | None:
     return None
 
 
-# Run in a fresh interpreter by bench_command, with this script's folder and the
-# command's arguments as its arguments: one mbclust command, then its
-# seconds and the child's own peak RSS as JSON.
-_CLI_CHILD = """
-import json, sys, time
-sys.path.insert(0, sys.argv[1])
-import bench_layers
-started = time.perf_counter()
-status = bench_layers.cli.main(sys.argv[2:])
-seconds = time.perf_counter() - started
-print(json.dumps({"status": status, "seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb()}))
-"""
-
-
-# Run in a fresh interpreter by bench_similarity, with this script's folder, a
-# CSV, a format, an output folder and measures as its arguments: mbclust
-# similarity of each measure in turn, then their seconds, the child's own
-# peak RSS and the SHA-256 of each output as JSON.
-_SIMILARITY_CHILD = """
-import hashlib, json, sys, time
-from pathlib import Path
-sys.path.insert(0, sys.argv[1])
-import bench_layers
-csv_path, fmt, out, measures = sys.argv[2], sys.argv[3], Path(sys.argv[4]), sys.argv[5:]
-outputs = [out / f"similarity_{measure}.{fmt}" for measure in measures]
-started = time.perf_counter()
-statuses = [bench_layers.cli.main(["similarity", csv_path, "--label-column", "label", "--measure", measure,
-                                   "--format", fmt, "--out", str(path)]) for measure, path in zip(measures, outputs)]
-seconds = time.perf_counter() - started
-print(json.dumps({"status": max(statuses), "seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb(),
-                  "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs if p.exists()}}))
-"""
-
-
-# Run in a fresh interpreter by bench_wide_run, with this script's folder,
-# n and m as its arguments: run() without the containment rule on planted
-# codes, then its seconds, the child's own peak RSS and the SHA-256 of the
-# labels of every dendrogram level as JSON.
-_RUN_CHILD = """
-import hashlib, json, sys, time
-sys.path.insert(0, sys.argv[1])
-import bench_layers
-codes, _ = bench_layers.planted_codes(int(sys.argv[2]), int(sys.argv[3]), bench_layers.SEED)
-started = time.perf_counter()
-result = bench_layers.run(codes, bench_layers.MbcConfig(anti_merge=False))
-seconds = time.perf_counter() - started
-labels = hashlib.sha256(result.dendrogram.labels.tobytes()).hexdigest()
-print(json.dumps({"seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb(), "labels_sha256": labels}))
-"""
-
-
-# Run in a fresh interpreter by bench_pgp2_run, with this script's folder and
-# n as its arguments: run() under the pgp2 tie-break on pgp2_codes, then its
-# seconds, the child's own peak RSS, the SHA-256 of the level labels and the
-# number of candidates of each pgp2_kept_counts sweep as JSON.
-_PGP2_CHILD = """
-import hashlib, json, sys, time
-sys.path.insert(0, sys.argv[1])
-import bench_layers
-import mbclust.core
-sweeps, kept_counts = [], mbclust.core.pgp2_kept_counts
-def counted(data, candidates, alpha=0.0):
-    sweeps.append(len(candidates))
-    return kept_counts(data, candidates, alpha)
-mbclust.core.pgp2_kept_counts = counted
-codes = bench_layers.pgp2_codes(int(sys.argv[2]), bench_layers.SEED)
-started = time.perf_counter()
-result = bench_layers.run(codes, bench_layers.MbcConfig(tie_policy="pgp2", anti_merge=False))
-seconds = time.perf_counter() - started
-labels = hashlib.sha256(result.dendrogram.labels.tobytes()).hexdigest()
-print(json.dumps({"seconds": seconds, "peak_rss_mb": bench_layers.peak_rss_mb(), "labels_sha256": labels,
-                  "sweeps": len(sweeps), "sweep_candidates": sweeps}))
-"""
-
-
 # Run in a fresh interpreter with the package's source folder as its argument:
 # the seconds of importing the CLI module, which imports the whole package.
+# It imports nothing else before its clock starts, numpy included.
 _IMPORT_CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
@@ -242,56 +171,86 @@ print(time.perf_counter() - started)
 
 def bench_import() -> dict:
     """Minimum and median seconds of ``import mbclust.cli`` over ``REPEATS`` fresh processes."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    seconds = [float(subprocess.run([sys.executable, "-c", _IMPORT_CHILD, src], capture_output=True, text=True,
+    seconds = [float(subprocess.run([sys.executable, "-c", _IMPORT_CHILD, str(SRC)], capture_output=True, text=True,
                                     check=True).stdout) for _ in range(REPEATS)]
     return {"min_s": min(seconds), "median_s": statistics.median(seconds)}
 
 
-def child(script: str, *args: str) -> dict:
-    """The JSON that ``script`` prints last, run in a fresh interpreter with
-    this script's folder and ``args`` as its arguments."""
-    proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).resolve().parent), *args],
-                          capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    if result.pop("status", 0) != 0:
-        raise RuntimeError(f"mbclust {' '.join(args)} failed: {proc.stderr.strip()}")
-    return result
+def commands_child(commands: list[list[str]], outputs: list[str]):
+    """Set-up of a child that runs the mbclust ``commands`` in turn; its facts
+    are the SHA-256 of each of ``outputs``, by file name."""
+    def facts(statuses: list[int]) -> dict:
+        if any(statuses):
+            raise RuntimeError(f"mbclust commands {commands} exited with {statuses}")
+        return {"sha256": {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in outputs}}
+
+    return lambda: [cli.main(argv) for argv in commands], facts
 
 
-def summary(runs: list[dict]) -> dict:
-    """Minimum and median seconds and largest peak of child runs."""
-    seconds = [r["seconds"] for r in runs]
-    peaks = [r["peak_rss_mb"] for r in runs if r["peak_rss_mb"] is not None]
-    return {"min_s": min(seconds), "median_s": statistics.median(seconds), "peak_rss_mb": max(peaks) if peaks else None}
+def run_child(codes: str, n: int, m: int, tie_policy: str):
+    """Set-up of a child that times ``run()`` without the containment rule
+    under ``tie_policy``, on ``n`` x ``m`` ``planted_codes`` or, with
+    ``codes`` "pgp2", ``pgp2_codes``. Its facts are the SHA-256 of every
+    level's labels and, under the pgp2 tie-break, the candidates of each
+    ``pgp2_kept_counts`` sweep."""
+    data = pgp2_codes(n, m, SEED) if codes == "pgp2" else planted_codes(n, m, SEED)[0]
+    config = MbcConfig(tie_policy=tie_policy, anti_merge=False)
+    sweeps, kept_counts = [], core.pgp2_kept_counts
+
+    def counted(matrix, candidates, alpha=0.0):
+        sweeps.append(len(candidates))
+        return kept_counts(matrix, candidates, alpha)
+
+    core.pgp2_kept_counts = counted
+
+    def facts(result) -> dict:
+        labels = {"labels_sha256": hashlib.sha256(result.dendrogram.labels.tobytes()).hexdigest()}
+        if config.tie_policy != core.TIES_PGP2:
+            return labels
+        return {**labels, "sweeps": len(sweeps), "sweep_candidates": sweeps}
+
+    return lambda: run(data, config), facts
 
 
-def bench_command(argv: list[str], outputs: list[Path]) -> dict:
-    """``REPEATS`` child runs of one command: minimum and median seconds,
-    largest peak, and the SHA-256 of each output file of the last run."""
-    return {**summary([child(_CLI_CHILD, *argv) for _ in range(REPEATS)]),
-            "sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}}
+# The program of every child but the import layer's: this script's folder, a
+# child function's name and its arguments as JSON are its arguments.
+_TRAMPOLINE = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_layers; "
+               "bench_layers.child_main(sys.argv[2], *json.loads(sys.argv[3]))")
 
 
-def bench_runs(script: str, *args: str) -> dict:
-    """``REPEATS`` child runs of ``script``: minimum and median seconds, largest
-    peak, and the other fields of a run, which every run must agree on."""
-    runs = [child(script, *args) for _ in range(REPEATS)]
-    facts = {json.dumps({k: v for k, v in r.items() if k not in ("seconds", "peak_rss_mb")}) for r in runs}
-    if len(facts) != 1:
-        raise RuntimeError(f"runs with arguments {args} disagree: {sorted(facts)}")
-    return {**summary(runs), **json.loads(facts.pop())}
+def child_main(name: str, *args) -> None:
+    """The body of a child process: the set-up of the child function ``name``
+    on ``args``, untimed; its operation, timed; then one JSON line with the
+    seconds, this process's ``VmHWM`` and the facts of the operation's result."""
+    operation, facts = globals()[name](*args)
+    started = time.perf_counter()
+    result = operation()
+    seconds = time.perf_counter() - started
+    peak = peak_rss_mb()  # before the facts, whose digests may copy the result
+    print(json.dumps({"seconds": seconds, "peak_rss_mb": peak, **facts(result)}))
 
 
-def bench_wide_run() -> dict:
-    """Child runs of ``run()`` without the containment rule on ``WIDE`` planted codes."""
-    n, m = WIDE
-    return {"n": n, "m": m, **bench_runs(_RUN_CHILD, str(n), str(m))}
+def child(function, *args) -> dict:
+    """What ``child_main`` prints for ``function`` and ``args``, run in a fresh
+    interpreter. The arguments travel as one JSON text, so lists and paths
+    arrive whole."""
+    proc = subprocess.run([sys.executable, "-c", _TRAMPOLINE, str(Path(__file__).resolve().parent), function.__name__,
+                           json.dumps(args)], capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"child {function.__name__}{args} failed: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def bench_pgp2_run() -> dict:
-    """Child runs of ``run()`` under the pgp2 tie-break on ``PGP2_N`` objects of ``pgp2_codes``."""
-    return {"n": PGP2_N, **bench_runs(_PGP2_CHILD, str(PGP2_N))}
+def bench_runs(function, *args) -> dict:
+    """``REPEATS`` child runs of ``function`` on ``args``: minimum and median
+    seconds, largest peak, and the facts, which every run must agree on."""
+    runs = [child(function, *args) for _ in range(REPEATS)]
+    seconds = [r.pop("seconds") for r in runs]
+    peaks = [peak for peak in (r.pop("peak_rss_mb") for r in runs) if peak is not None]
+    if any(r != runs[0] for r in runs):
+        raise RuntimeError(f"runs of {function.__name__}{args} disagree: {runs}")
+    return {"min_s": min(seconds), "median_s": statistics.median(seconds),
+            "peak_rss_mb": max(peaks) if peaks else None, **runs[0]}
 
 
 def bench_similarity(n: int, work: Path) -> dict:
@@ -306,7 +265,10 @@ def bench_similarity(n: int, work: Path) -> dict:
     for name, (fmt, *measures) in runs.items():
         out = work / f"similarity_{n}_{name}"
         out.mkdir()
-        layers[f"cli_similarity_{name}"] = bench_runs(_SIMILARITY_CHILD, str(csv_path), fmt, str(out), *measures)
+        outputs = [str(out / f"similarity_{measure}.{fmt}") for measure in measures]
+        commands = [["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--format", fmt,
+                     "--out", path] for measure, path in zip(measures, outputs)]
+        layers[f"cli_similarity_{name}"] = bench_runs(commands_child, commands, outputs)
     return {"n": n, "layers": layers}
 
 
@@ -338,15 +300,15 @@ def bench_size(n: int, work: Path) -> dict:
     iterations, clusters = len(result.trace), len(result.partition)
     peak = peak_rss_mb()
     del data, result  # the commands run in children; free this process's copies first
-    outputs = {"--out": out / "clusters.json", "--dendrogram-out": out / "dendrogram.json",
-               "--newick-out": out / "tree.nwk", "--trace-out": out / "trace.json",
-               "--manifest-out": out / "manifest.json"}
+    outputs = {"--out": str(out / "clusters.json"), "--dendrogram-out": str(out / "dendrogram.json"),
+               "--newick-out": str(out / "tree.nwk"), "--trace-out": str(out / "trace.json")}
     argv = ["cluster", str(csv_path), "--label-column", "label", "--format", "json"]
     for option, path in outputs.items():
-        argv += [option, str(path)]
-    layers["cli_cluster"] = bench_command(argv, list(outputs.values()))
+        argv += [option, path]
+    argv += ["--manifest-out", str(out / "manifest.json")]
+    layers["cli_cluster"] = bench_runs(commands_child, [argv], list(outputs.values()))
     argv = ["dendrogram", str(csv_path), "--label-column", "label", "--out", str(out / "dendrogram_cmd.json")]
-    layers["cli_dendrogram"] = bench_command(argv, [out / "dendrogram_cmd.json"])
+    layers["cli_dendrogram"] = bench_runs(commands_child, [argv], [argv[-1]])
     return {"n": n, "iterations": iterations, "clusters": clusters, "layers": layers, "peak_rss_mb_so_far": peak}
 
 
@@ -376,12 +338,13 @@ def main(argv=None) -> int:
         for size in similarity:
             for name, v in size["layers"].items():
                 print(f"n={size['n']}: {name} {v['median_s']:.4f} s, peak RSS {v['peak_rss_mb']} MB", file=sys.stderr)
-    wide = bench_wide_run()
-    print(f"{WIDE[0]} x {WIDE[1]}: run_wide {wide['median_s']:.4f} s, peak RSS {wide['peak_rss_mb']} MB",
-          file=sys.stderr)
-    pgp2 = bench_pgp2_run()
-    print(f"n={PGP2_N}: run_pgp2 {pgp2['median_s']:.4f} s, peak RSS {pgp2['peak_rss_mb']} MB, "
-          f"{pgp2['sweeps']} sweeps of {pgp2['sweep_candidates']} candidates", file=sys.stderr)
+    runs = {"run_wide": ("planted", *WIDE, core.TIES_DROP_ALL),  # the arguments of each run_child layer
+            "run_wide_large": ("planted", SIZES[-1], WIDE[1], core.TIES_DROP_ALL),
+            "run_pgp2": ("pgp2", PGP2_N, 20, core.TIES_PGP2)}
+    for name, (codes, n, m, tie_policy) in runs.items():
+        runs[name] = {"n": n, "m": m, **bench_runs(run_child, codes, n, m, tie_policy)}
+        print(f"{n} x {m}: {name} {runs[name]['median_s']:.4f} s, peak RSS {runs[name]['peak_rss_mb']} MB",
+              file=sys.stderr)
     report = {
         "data": {"features": FEATURES, "categories": CATEGORIES, "prototypes": PROTOTYPES, "noise": NOISE,
                  "seed": SEED},
@@ -391,8 +354,7 @@ def main(argv=None) -> int:
         "import": import_layer,
         "sizes": results,
         "similarity": similarity,
-        "run_wide": wide,
-        "run_pgp2": pgp2,
+        **runs,
         "source_lines": source_lines(),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

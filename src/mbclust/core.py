@@ -99,7 +99,8 @@ class ClusteringState:
     ``labels`` gives each object the index of its entity (its current
     cluster); the loop numbers entities in order of their smallest
     member. ``profiles`` holds one code row per entity over the
-    remaining features, feature-major in the loop so that each column is
+    remaining features, checked and made int64 by ``as_codes`` as a
+    dataset's codes are, feature-major in the loop so that each column is
     contiguous; ``remaining_features`` maps its columns back to original
     feature indices. ``frozen`` holds the indices of entities that the
     containment rule keeps from merging this round.
@@ -123,13 +124,13 @@ class ClusteringState:
         if labels.ndim != 1 or labels.dtype.kind not in "iu":
             raise ValueError("labels must be a 1-d integer array")
         labels = labels.astype(np.intp, copy=False)
-        for name, value in (("labels", labels), ("profiles", profiles), ("remaining_features", remaining_features),
-                            ("frozen", frozenset(frozen))):
+        for name, value in (("labels", labels), ("profiles", as_codes(profiles)),
+                            ("remaining_features", remaining_features), ("frozen", frozenset(frozen))):
             object.__setattr__(self, name, value)
-        e = len(profiles) if entities is None else len(entities)
-        if profiles.shape != (e, len(remaining_features)):
+        e = len(self.profiles) if entities is None else len(entities)
+        if self.profiles.shape != (e, len(remaining_features)):
             raise ValueError(
-                f"profiles shape {profiles.shape} does not match "
+                f"profiles shape {self.profiles.shape} does not match "
                 f"{e} entities x {len(remaining_features)} features"
             )
         if labels.min(initial=0) < 0 or labels.max(initial=-1) >= e:
@@ -235,7 +236,7 @@ def _profile_groups(state: ClusteringState) -> tuple[np.ndarray, np.ndarray]:
     compared with the group's first entity, in blocks of rows. When any
     differs, the groups come from ``np.unique`` of the whole rows instead.
     """
-    profiles = as_codes(state.profiles)
+    profiles = state.profiles
     key = np.zeros(len(profiles), dtype=np.uint64)
     for column in profiles.T:
         key *= _BASE

@@ -1,13 +1,15 @@
-"""Smoke test of ``scripts/bench_layers.py`` at tiny sizes.
+"""Smoke tests of ``scripts/bench_layers.py`` at tiny sizes.
 
-The full bench takes minutes, so a broken child script would otherwise
-show only when someone runs it. Each layer here is one fresh child
-process per run, as in the bench.
+The full bench takes minutes, so a broken child would otherwise show only
+when someone runs it. ``main()`` runs here at tiny sizes with one run per
+layer, and each child layer is one fresh process per run, as in the bench.
 """
 
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,17 +25,65 @@ def bench_layers():
     return module
 
 
+def test_main_at_tiny_sizes_reports_every_layer(bench_layers, tmp_path, monkeypatch):
+    for name, value in (("SIZES", (120,)), ("WIDE", (120, 8)), ("PGP2_N", 120), ("SIMILARITY_SIZES", (40,)),
+                        ("REPEATS", 1)):
+        monkeypatch.setattr(bench_layers, name, value)
+    assert bench_layers.main([str(tmp_path / "bench.json")]) == 0
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert list(report) == ["data", "repeats", "machine", "import", "sizes", "similarity", "run_wide",
+                            "run_wide_large", "run_pgp2", "source_lines"]
+    assert set(report["import"]) == {"min_s", "median_s"} and report["import"]["min_s"] > 0
+    [size] = report["sizes"]
+    assert list(size["layers"]) == ["load_csv", "importance", "run", "to_json", "to_newick", "to_dict", "contingency",
+                                    "cli_cluster", "cli_dendrogram"]
+    assert list(size["layers"]["cli_cluster"]["sha256"]) == ["clusters.json", "dendrogram.json", "tree.nwk",
+                                                            "trace.json"]  # no manifest: it holds seconds
+    [similarity] = report["similarity"]
+    assert list(similarity["layers"]) == [f"cli_similarity_{name}" for name in (
+        "lin", "lin_json", "goodall", "goodall_json", "goodall_lin_json")]
+    assert list(similarity["layers"]["cli_similarity_goodall_lin_json"]["sha256"]) == [
+        "similarity_goodall.json", "similarity_lin.json"]
+    wide, large, pgp2 = report["run_wide"], report["run_wide_large"], report["run_pgp2"]
+    assert (wide["n"], wide["m"]) == (large["n"], large["m"]) == (120, 8)  # the largest size is 120 here
+    assert wide["labels_sha256"] == large["labels_sha256"] and "sweeps" not in wide
+    assert (pgp2["n"], pgp2["m"]) == (120, 20) and pgp2["sweeps"] == len(pgp2["sweep_candidates"]) > 0
+    assert report["source_lines"] == bench_layers.source_lines()
+
+
+def test_import_child_imports_nothing_before_its_clock(bench_layers):
+    before_clock = bench_layers._IMPORT_CHILD.split("started =")[0]
+    probe = before_clock + "print(sorted(name for name in ('numpy', 'mbclust') if name in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe, str(bench_layers.SRC)], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_bench_runs_raises_when_runs_disagree(bench_layers, monkeypatch):
+    def runs(*digests):
+        return iter({"seconds": 2.0 - i, "peak_rss_mb": 30.0 + i, "sha256": d} for i, d in enumerate(digests))
+
+    monkeypatch.setattr(bench_layers, "REPEATS", 2)
+    monkeypatch.setattr(bench_layers, "child", lambda function, *args: next(children))
+    children = runs("a", "a")
+    assert bench_layers.bench_runs(bench_layers.run_child) == {
+        "min_s": 1.0, "median_s": 1.5, "peak_rss_mb": 31.0, "sha256": "a"}
+    children = runs("a", "b")
+    with pytest.raises(RuntimeError, match="disagree"):
+        bench_layers.bench_runs(bench_layers.run_child)
+
+
 def test_run_children_report_their_keys_and_agree(bench_layers):
-    runs = [bench_layers.child(bench_layers._RUN_CHILD, "300", "12") for _ in range(2)]
+    runs = [bench_layers.child(bench_layers.run_child, "planted", 300, 12, "drop-all") for _ in range(2)]
     assert all(set(run) == {"seconds", "peak_rss_mb", "labels_sha256"} for run in runs)
     assert runs[0]["labels_sha256"] == runs[1]["labels_sha256"]
-    pgp2 = bench_layers.child(bench_layers._PGP2_CHILD, "300")
+    pgp2 = bench_layers.child(bench_layers.run_child, "pgp2", 300, 20, "pgp2")
     assert set(pgp2) == {"seconds", "peak_rss_mb", "labels_sha256", "sweeps", "sweep_candidates"}
     assert pgp2["sweeps"] == len(pgp2["sweep_candidates"]) > 0
 
 
-def test_bench_command_of_cluster_digests_its_outputs(bench_layers, tmp_path, monkeypatch):
-    monkeypatch.setattr(bench_layers, "REPEATS", 1)
+def test_bench_runs_of_cluster_digests_its_outputs(bench_layers, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_layers, "REPEATS", 2)
     csv_path = tmp_path / "planted.csv"
     bench_layers.planted_csv(csv_path, 60, bench_layers.SEED)
     outputs = {option: tmp_path / name for option, name in (
@@ -42,18 +92,23 @@ def test_bench_command_of_cluster_digests_its_outputs(bench_layers, tmp_path, mo
     argv = ["cluster", str(csv_path), "--label-column", "label", "--format", "json"]
     for option, path in outputs.items():
         argv += [option, str(path)]
-    layers = [bench_layers.bench_command(argv, list(outputs.values())) for _ in range(2)]
-    assert all(set(layer) == {"min_s", "median_s", "peak_rss_mb", "sha256"} for layer in layers)
-    assert set(layers[0]["sha256"]) == {path.name for path in outputs.values()}
-    assert layers[0]["sha256"] == layers[1]["sha256"]
+    layer = bench_layers.bench_runs(bench_layers.commands_child, [argv], [str(path) for path in outputs.values()])
+    assert set(layer) == {"min_s", "median_s", "peak_rss_mb", "sha256"}
+    assert layer["sha256"] == {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs.values()}
+    with pytest.raises(RuntimeError, match="exited with \\[1\\]"):  # a command that fails stops the bench
+        bench_layers.child(bench_layers.commands_child, [["cluster", str(tmp_path / "missing.csv")]], [])
 
 
 def test_similarity_child_digests_each_output(bench_layers, tmp_path):
-    csv_path = tmp_path / "planted.csv"
+    folder = tmp_path / "a folder with spaces"  # commands travel as lists, never split on spaces
+    folder.mkdir()
+    csv_path = folder / "planted data.csv"
     bench_layers.planted_csv(csv_path, 300, bench_layers.SEED)
-    run = bench_layers.child(bench_layers._SIMILARITY_CHILD, str(csv_path), "json", str(tmp_path), "goodall", "lin")
+    outputs = [folder / "similarity_goodall.json", folder / "similarity_lin.json"]
+    commands = [["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--format", "json",
+                 "--out", str(path)] for measure, path in zip(("goodall", "lin"), outputs)]
+    run = bench_layers.child(bench_layers.commands_child, commands, [str(path) for path in outputs])
     assert set(run) == {"seconds", "peak_rss_mb", "sha256"}
-    outputs = [tmp_path / "similarity_goodall.json", tmp_path / "similarity_lin.json"]
     assert run["sha256"] == {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
     assert json.loads(outputs[1].read_text())["n"] == 300
 

@@ -173,6 +173,15 @@ def test_state_validation(dataset_a):
         )
 
 
+def test_state_checks_its_profiles_as_codes():
+    state = ClusteringState(labels=[0, 1], profiles=[[0], [1]], remaining_features=(0,))
+    assert state.profiles.dtype == np.int64 and state.profiles.tolist() == [[0], [1]]
+    with pytest.raises(ValueError, match="not an integer code"):
+        ClusteringState(labels=[0, 1], profiles=np.array([[0.5], [1.0]]), remaining_features=(0,))
+    with pytest.raises(ValueError, match="not an integer code"):
+        ClusteringState(labels=[0, 1], profiles=np.array([["a"], ["b"]]), remaining_features=(0,))
+
+
 def test_state_from_labels_equals_state_from_entities(dataset_a):
     entities = ((0, 1, 5), (2,), (3, 4, 9), (6, 7, 8))
     profiles = dataset_a.codes_matrix[[0, 2, 3, 6]]

@@ -1,80 +1,70 @@
 #!/usr/bin/env python3
-"""Time each layer of mbclust on seeded planted data and record peak memory.
+"""Time each layer of mbclust on seeded planted data, each run in a fresh process.
 
-First it times ``import``: ``import mbclust.cli`` in a fresh interpreter,
-``REPEATS`` times, keeping the minimum and median seconds. That import,
-numpy's included, is the part of every command's start-up that the
-package controls.
-
-For every size ``n`` the script writes one planted CSV (20 features, 3
-categories, objects drawn from 20 prototypes, 15 % of the cells of every
-column replaced by another category, plus a ``label`` column), then times
-in this process, with ``time.perf_counter``:
-
-- ``load_csv``: reading the CSV into a ``Dataset``;
-- ``importance``: ``importance_report`` over the all-singleton profiles
-  (one entity per object), as the loop's first round computes it;
-- ``run``: the clustering loop under the default configuration;
-- ``to_json`` and ``to_newick``: the dendrogram writers, on that result;
-  ``to_json`` joins the pieces of ``writers.dendrogram_json``, the text
-  that ``cluster --dendrogram-out`` writes;
-- ``to_dict``: ``Dendrogram.to_dict`` of that result, the call that
-  perfbench's ``redundant-ids`` workload times;
-- ``contingency``: the cross-table of that result's partition against the
-  ``label`` column, kept with the SHA-256 of its label names and counts.
-
-Each layer runs ``REPEATS`` (3) times; the minimum and the median are kept.
-After each size the script reads ``VmHWM`` (the peak resident set size of
-this process) from ``/proc/self/status``; sizes run in ascending order, so
-each reading is the peak up to and including that size.
-
-Every other layer runs ``REPEATS`` times, each run in a fresh child
-process. A child is a function of this script that ``child_main`` runs:
-it sets up untimed, times one operation, and reports the seconds, its own
-``VmHWM``, read before anything else is computed, so that the reading is
-the operation's peak alone (``ru_maxrss`` would not do, as Linux carries a
-forked parent's peak across ``exec``), and the facts of its outputs. All
+Every layer runs ``REPEATS`` (3) times, each run in a fresh child process
+that reports its seconds, its own peak resident set size (``VmHWM`` from
+``/proc/self/status``; ``ru_maxrss`` would not do, as Linux carries a
+forked parent's peak across ``exec``) and the facts of its output. All
 runs of a layer must agree on the facts; the minimum and median seconds
 and the largest peak are kept with them.
 
-``commands_child`` runs mbclust commands in turn, and its facts are the
-SHA-256 of each output file. At each size it runs:
+The ``import`` layer's program imports nothing before its clock: it times
+``import mbclust.cli`` (numpy's import included), the start-up that every
+command pays, then imports this script and reads its ``VmHWM``, the floor
+under every other child's peak. Every other child is a function of this
+script that ``child_main`` runs: it sets up untimed, times one operation,
+and reads its ``VmHWM`` before it computes the facts.
+
+For every size ``n`` the script writes one planted CSV (20 features, 3
+categories, objects drawn from 20 prototypes, 15 % of the cells of every
+column replaced by another category, plus a ``label`` column).
+``library_child`` loads it untimed (but for ``load_csv``) and, for the
+last four layers, runs ``run()`` untimed on it, then times one call of:
+
+- ``load_csv``: reading the CSV into a ``Dataset``;
+- ``importance``: ``importance_report`` over the all-singleton profiles,
+  as the loop's first round computes it;
+- ``run``: the clustering loop under the default configuration; the
+  numbers of ``iterations`` and ``clusters`` it reports head the size's
+  entry;
+- ``to_json`` (the joined ``writers.dendrogram_json``) and ``to_newick``:
+  the dendrogram writers, each the first call on its result, so each pays
+  the merge walk (``Dendrogram._merges``) that later calls would reuse;
+- ``to_dict``: ``Dendrogram.to_dict``, which perfbench's ``redundant-ids``
+  workload times;
+- ``contingency``: the result's partition against the ``label`` column.
+
+Its facts are the SHA-256 of the output: of the text a writer returns (so
+``to_json`` and ``to_newick`` equal ``cli_cluster``'s ``dendrogram.json``
+and ``tree.nwk`` without their final newline), of a result's level labels,
+and of JSON otherwise. ``commands_child`` runs mbclust commands in turn,
+and its facts are the SHA-256 of each output file:
 
 - ``cli_cluster``: ``mbclust cluster --format json`` with all five
-  outputs (``--out`` and the dendrogram, Newick, trace and manifest
-  files); the manifest holds the command's seconds, so it is written but
-  not digested, and its copy on stderr is dropped;
-- ``cli_dendrogram``: ``mbclust dendrogram`` with its JSON in ``--out``.
+  outputs; the manifest holds the command's seconds, so it is written but
+  not digested;
+- ``cli_dendrogram``: ``mbclust dendrogram`` with its JSON in ``--out``;
+- ``cli_similarity_*`` at ``SIMILARITY_SIZES`` (n = 300, the size of
+  perfbench's ``pairwise-measures``, and n = 2500): ``lin`` and
+  ``goodall``, in CSV and in JSON (``_json``), and goodall then lin in
+  JSON in one process (``goodall_lin_json``), as that workload runs them.
 
-After the sizes, it runs the quadratic ``mbclust similarity`` command on
-planted CSVs of n = 300 (the size of perfbench's ``pairwise-measures``
-workload) and n = 2500 (``SIMILARITY_SIZES``): with ``lin`` and with
-``goodall``, writing CSV output (``cli_similarity_<measure>``) and JSON
-output (``cli_similarity_<measure>_json``), and goodall then lin in JSON
-in one process (``cli_similarity_goodall_lin_json``), as that workload's
-operation runs them.
+``run_child`` times ``run()`` with ``anti_merge=False``, and its facts
+are the SHA-256 of the labels of every dendrogram level:
 
-``run_child`` times ``run()`` without the containment rule
-(``anti_merge=False``), and its facts are the SHA-256 of the labels of
-every dendrogram level:
-
-- ``run_wide``: on planted codes of 20 000 objects and 200 features
-  (``WIDE``; same categories, prototypes and noise), where the loop keeps
-  many columns for many rounds;
+- ``run_wide``: on planted codes of ``WIDE`` (20 000 objects, 200
+  features), where the loop keeps many columns for many rounds;
 - ``run_wide_large``: the same at the largest of ``SIZES``, 100 000 x 200;
 - ``run_pgp2``: with ``tie_policy="pgp2"`` on ``PGP2_N`` (5000) objects
-  whose 20 features tie for least important in many rounds, so the pgp2
-  tie-break sweeps (``importance.pgp2_kept_counts``) dominate: 10
+  whose 20 features tie for least important in many rounds (10
   independent permutations of a balanced 3-category column beside 10 of
-  a balanced 2-category column. Its facts also hold the number of sweeps
-  and the candidates of each, counted by wrapping ``pgp2_kept_counts`` in
-  the child.
+  a balanced 2-category column), so the pgp2 sweeps dominate. It also
+  reports the number of ``pgp2_kept_counts`` sweeps and the candidates
+  of each.
 
-The results, with the machine they were taken on and the line count of
-the package (``source_lines``: the ``wc -l`` of each ``src/mbclust/*.py``
-file and their total), go to the JSON file named on the command line.
-
-Usage::
+The results, with the machine they were taken on and the package's line
+count (``source_lines``: the ``wc -l`` of each ``src/mbclust/*.py`` file
+and their total), go to the JSON file named on the command line::
 
     python scripts/bench_layers.py BENCH.json
 
@@ -112,7 +102,7 @@ SIZES = (2500, 20000, 100000)
 WIDE = (20000, 200)
 PGP2_N = 5000
 SIMILARITY_SIZES = (300, 2500)
-SIMILARITY_MEASURES = ("lin", "goodall")
+LIBRARY_LAYERS = ("load_csv", "importance", "run", "to_json", "to_newick", "to_dict", "contingency")
 REPEATS = 3
 SEED = 0
 
@@ -149,31 +139,47 @@ def planted_csv(path: Path, n: int, seed: int) -> None:
 def peak_rss_mb() -> float | None:
     """``VmHWM`` of this process in MB, or None where /proc is unavailable."""
     try:
-        for line in Path("/proc/self/status").read_text().splitlines():
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024
+        status = Path("/proc/self/status").read_text()
     except OSError:
-        pass
-    return None
+        return None
+    return next((int(line.split()[1]) / 1024 for line in status.splitlines() if line.startswith("VmHWM:")), None)
 
 
-# Run in a fresh interpreter with the package's source folder as its argument:
-# the seconds of importing the CLI module, which imports the whole package.
-# It imports nothing else before its clock starts, numpy included.
-_IMPORT_CHILD = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-started = time.perf_counter()
-import mbclust.cli
-print(time.perf_counter() - started)
-"""
+# Run in a fresh interpreter with the package's source folder and this
+# script's folder as its arguments: the seconds of importing the CLI module,
+# which imports the whole package, and the peak after this script's imports,
+# which every other child makes. It imports nothing before its clock starts,
+# numpy included.
+_IMPORT_CHILD = ("import sys, time; sys.path.insert(0, sys.argv[1]); started = time.perf_counter(); "
+                 "import mbclust.cli; seconds = time.perf_counter() - started; sys.path.insert(0, sys.argv[2]); "
+                 "import bench_layers; "
+                 "print(bench_layers.json.dumps({'seconds': seconds, 'peak_rss_mb': bench_layers.peak_rss_mb()}))")
 
 
-def bench_import() -> dict:
-    """Minimum and median seconds of ``import mbclust.cli`` over ``REPEATS`` fresh processes."""
-    seconds = [float(subprocess.run([sys.executable, "-c", _IMPORT_CHILD, str(SRC)], capture_output=True, text=True,
-                                    check=True).stdout) for _ in range(REPEATS)]
-    return {"min_s": min(seconds), "median_s": statistics.median(seconds)}
+def sha256(content: str | bytes) -> str:
+    """The SHA-256 of ``content``, text as UTF-8."""
+    return hashlib.sha256(content.encode() if isinstance(content, str) else content).hexdigest()
+
+
+def library_child(csv_path: str, layer: str):
+    """Set-up of a child that times the library layer ``layer`` (one of
+    ``LIBRARY_LAYERS``) on the planted CSV at ``csv_path``. Its facts are the
+    SHA-256 of the layer's output and, for ``run``, the number of iterations
+    and clusters."""
+    data = None if layer == "load_csv" else load_csv(csv_path, label_column="label")
+    result = run(data) if layer in LIBRARY_LAYERS[3:] else None  # the layers that read a result
+    return {
+        "load_csv": (lambda: load_csv(csv_path, label_column="label"), lambda dataset: {"sha256": sha256(json.dumps(
+            [dataset.feature_names, dataset.category_labels, dataset.labels, dataset.codes_matrix.tolist()]))}),
+        "importance": (lambda: importance_report(data), lambda report: {"sha256": sha256(repr(report))}),
+        "run": (lambda: run(data), lambda ran: {"sha256": sha256(ran.dendrogram.labels.tobytes()),
+                                                "iterations": len(ran.trace), "clusters": len(ran.partition)}),
+        "to_json": (lambda: "".join(writers.dendrogram_json(result.dendrogram)), lambda text: {"sha256": sha256(text)}),
+        "to_newick": (lambda: result.dendrogram.to_newick(), lambda text: {"sha256": sha256(text)}),
+        "to_dict": (lambda: result.dendrogram.to_dict(), lambda tree: {"sha256": sha256(json.dumps(tree))}),
+        "contingency": (lambda: contingency(result.partition, data.labels), lambda table: {
+            "sha256": sha256(json.dumps([table.label_names, table.counts.tolist()]))}),
+    }[layer]
 
 
 def commands_child(commands: list[list[str]], outputs: list[str]):
@@ -182,7 +188,7 @@ def commands_child(commands: list[list[str]], outputs: list[str]):
     def facts(statuses: list[int]) -> dict:
         if any(statuses):
             raise RuntimeError(f"mbclust commands {commands} exited with {statuses}")
-        return {"sha256": {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in outputs}}
+        return {"sha256": {Path(path).name: sha256(Path(path).read_bytes()) for path in outputs}}
 
     return lambda: [cli.main(argv) for argv in commands], facts
 
@@ -204,10 +210,8 @@ def run_child(codes: str, n: int, m: int, tie_policy: str):
     core.pgp2_kept_counts = counted
 
     def facts(result) -> dict:
-        labels = {"labels_sha256": hashlib.sha256(result.dendrogram.labels.tobytes()).hexdigest()}
-        if config.tie_policy != core.TIES_PGP2:
-            return labels
-        return {**labels, "sweeps": len(sweeps), "sweep_candidates": sweeps}
+        pgp2 = {"sweeps": len(sweeps), "sweep_candidates": sweeps} if config.tie_policy == core.TIES_PGP2 else {}
+        return {"labels_sha256": sha256(result.dendrogram.labels.tobytes()), **pgp2}
 
     return lambda: run(data, config), facts
 
@@ -230,86 +234,90 @@ def child_main(name: str, *args) -> None:
     print(json.dumps({"seconds": seconds, "peak_rss_mb": peak, **facts(result)}))
 
 
+def fresh(what: str, program: str, *argv: str) -> dict:
+    """The last line that ``program`` prints, as JSON, run with ``argv`` in a
+    fresh interpreter; ``what`` names it when it fails."""
+    proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{what} failed: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def child(function, *args) -> dict:
     """What ``child_main`` prints for ``function`` and ``args``, run in a fresh
     interpreter. The arguments travel as one JSON text, so lists and paths
     arrive whole."""
-    proc = subprocess.run([sys.executable, "-c", _TRAMPOLINE, str(Path(__file__).resolve().parent), function.__name__,
-                           json.dumps(args)], capture_output=True, text=True)
-    if proc.returncode:
-        raise RuntimeError(f"child {function.__name__}{args} failed: {proc.stderr.strip()}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return fresh(f"child {function.__name__}{args}", _TRAMPOLINE, str(Path(__file__).resolve().parent),
+                 function.__name__, json.dumps(args))
 
 
-def bench_runs(function, *args) -> dict:
-    """``REPEATS`` child runs of ``function`` on ``args``: minimum and median
-    seconds, largest peak, and the facts, which every run must agree on."""
-    runs = [child(function, *args) for _ in range(REPEATS)]
+def summary(what: str, runs: list[dict]) -> dict:
+    """Minimum and median seconds of ``runs``, their largest peak, and their
+    facts, which every run must agree on."""
     seconds = [r.pop("seconds") for r in runs]
     peaks = [peak for peak in (r.pop("peak_rss_mb") for r in runs) if peak is not None]
     if any(r != runs[0] for r in runs):
-        raise RuntimeError(f"runs of {function.__name__}{args} disagree: {runs}")
+        raise RuntimeError(f"runs of {what} disagree: {runs}")
     return {"min_s": min(seconds), "median_s": statistics.median(seconds),
             "peak_rss_mb": max(peaks) if peaks else None, **runs[0]}
 
 
+def bench_runs(function, *args) -> dict:
+    """The ``summary`` of ``REPEATS`` child runs of ``function`` on ``args``."""
+    return summary(f"{function.__name__}{args}", [child(function, *args) for _ in range(REPEATS)])
+
+
+def bench_import() -> dict:
+    """The ``summary`` of ``REPEATS`` fresh runs of ``import mbclust.cli``."""
+    return summary("import", [fresh("import child", _IMPORT_CHILD, str(SRC), str(Path(__file__).resolve().parent))
+                              for _ in range(REPEATS)])
+
+
+def bench_table(label: str, table: dict) -> dict:
+    """``bench_runs`` of each layer of ``table`` (its name: a child function
+    and its arguments), each printed under ``label`` as it ends."""
+    layers = {}
+    for name, (function, *args) in table.items():
+        layer = layers[name] = bench_runs(function, *args)
+        print(f"{label}: {name} {layer['median_s']:.4f} s, peak RSS {layer['peak_rss_mb']} MB", file=sys.stderr)
+    return layers
+
+
+def bench_size(n: int, work: Path) -> dict:
+    """The library and CLI layers on a planted CSV of ``n`` objects, with the
+    iterations and clusters of its ``run()``."""
+    csv_path = work / f"planted_{n}.csv"
+    planted_csv(csv_path, n, SEED)
+    out = work / f"out_{n}"
+    out.mkdir()
+    table = {layer: (library_child, str(csv_path), layer) for layer in LIBRARY_LAYERS}
+    outputs = {"--out": str(out / "clusters.json"), "--dendrogram-out": str(out / "dendrogram.json"),
+               "--newick-out": str(out / "tree.nwk"), "--trace-out": str(out / "trace.json")}
+    argv = ["cluster", str(csv_path), "--label-column", "label", "--format", "json",
+            *(arg for output in outputs.items() for arg in output), "--manifest-out", str(out / "manifest.json")]
+    table["cli_cluster"] = (commands_child, [argv], list(outputs.values()))
+    argv = ["dendrogram", str(csv_path), "--label-column", "label", "--out", str(out / "dendrogram_cmd.json")]
+    table["cli_dendrogram"] = (commands_child, [argv], [argv[-1]])
+    layers = bench_table(f"n={n}", table)
+    return {"n": n, **{key: layers["run"].pop(key) for key in ("iterations", "clusters")}, "layers": layers}
+
+
 def bench_similarity(n: int, work: Path) -> dict:
-    """``REPEATS`` child runs per measure and format, and of goodall then lin in JSON, on planted data of ``n``
-    objects."""
+    """The commands child per measure and format, and of goodall then lin in
+    JSON, on planted data of ``n`` objects."""
     csv_path = work / f"similarity_{n}.csv"
     planted_csv(csv_path, n, SEED)
-    runs = {f"{measure}{suffix}": (fmt, measure) for measure in SIMILARITY_MEASURES
-            for fmt, suffix in (("csv", ""), ("json", "_json"))}
-    runs["goodall_lin_json"] = ("json", "goodall", "lin")
-    layers = {}
+    runs = {"lin": ("csv", "lin"), "lin_json": ("json", "lin"), "goodall": ("csv", "goodall"),
+            "goodall_json": ("json", "goodall"), "goodall_lin_json": ("json", "goodall", "lin")}
+    table = {}
     for name, (fmt, *measures) in runs.items():
         out = work / f"similarity_{n}_{name}"
         out.mkdir()
         outputs = [str(out / f"similarity_{measure}.{fmt}") for measure in measures]
         commands = [["similarity", str(csv_path), "--label-column", "label", "--measure", measure, "--format", fmt,
                      "--out", path] for measure, path in zip(measures, outputs)]
-        layers[f"cli_similarity_{name}"] = bench_runs(commands_child, commands, outputs)
-    return {"n": n, "layers": layers}
-
-
-def timed(operation) -> tuple[dict, object]:
-    """Minimum and median seconds of ``REPEATS`` calls, and the last result."""
-    seconds = []
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = operation()
-        seconds.append(time.perf_counter() - started)
-    return {"min_s": min(seconds), "median_s": statistics.median(seconds)}, result
-
-
-def bench_size(n: int, work: Path) -> dict:
-    csv_path = work / f"planted_{n}.csv"
-    planted_csv(csv_path, n, SEED)
-    out = work / f"out_{n}"
-    out.mkdir()
-    layers = {}
-    layers["load_csv"], data = timed(lambda: load_csv(csv_path, label_column="label"))
-    layers["importance"], _ = timed(lambda: importance_report(data))
-    layers["run"], result = timed(lambda: run(data))
-    layers["to_json"], _ = timed(lambda: "".join(writers.dendrogram_json(result.dendrogram)))
-    layers["to_newick"], _ = timed(result.dendrogram.to_newick)
-    layers["to_dict"], _ = timed(result.dendrogram.to_dict)
-    layers["contingency"], table = timed(lambda: contingency(result.partition, data.labels))
-    table_text = json.dumps([table.label_names, table.counts.tolist()])
-    layers["contingency"]["sha256"] = hashlib.sha256(table_text.encode()).hexdigest()
-    iterations, clusters = len(result.trace), len(result.partition)
-    peak = peak_rss_mb()
-    del data, result  # the commands run in children; free this process's copies first
-    outputs = {"--out": str(out / "clusters.json"), "--dendrogram-out": str(out / "dendrogram.json"),
-               "--newick-out": str(out / "tree.nwk"), "--trace-out": str(out / "trace.json")}
-    argv = ["cluster", str(csv_path), "--label-column", "label", "--format", "json"]
-    for option, path in outputs.items():
-        argv += [option, path]
-    argv += ["--manifest-out", str(out / "manifest.json")]
-    layers["cli_cluster"] = bench_runs(commands_child, [argv], list(outputs.values()))
-    argv = ["dendrogram", str(csv_path), "--label-column", "label", "--out", str(out / "dendrogram_cmd.json")]
-    layers["cli_dendrogram"] = bench_runs(commands_child, [argv], [argv[-1]])
-    return {"n": n, "iterations": iterations, "clusters": clusters, "layers": layers, "peak_rss_mb_so_far": peak}
+        table[f"cli_similarity_{name}"] = (commands_child, commands, outputs)
+    return {"n": n, "layers": bench_table(f"n={n}", table)}
 
 
 def source_lines() -> dict:
@@ -323,38 +331,25 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    import_layer = bench_import()
-    print(f"import mbclust.cli {import_layer['median_s']:.4f} s", file=sys.stderr)
-    results = []
+    imported = bench_import()
+    print(f"import mbclust.cli {imported['median_s']:.4f} s, peak RSS {imported['peak_rss_mb']} MB", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        for n in SIZES:
-            results.append(bench_size(n, Path(tmp)))
-            layers = results[-1]["layers"]
-            print(f"n={n}: " + ", ".join(f"{name} {v['median_s']:.4f} s" for name, v in layers.items())
-                  + f", peak RSS {results[-1]['peak_rss_mb_so_far']} MB in process, "
-                  + ", ".join(f"{name} {v['peak_rss_mb']} MB" for name, v in layers.items() if "peak_rss_mb" in v),
-                  file=sys.stderr)
+        sizes = [bench_size(n, Path(tmp)) for n in SIZES]
         similarity = [bench_similarity(n, Path(tmp)) for n in SIMILARITY_SIZES]
-        for size in similarity:
-            for name, v in size["layers"].items():
-                print(f"n={size['n']}: {name} {v['median_s']:.4f} s, peak RSS {v['peak_rss_mb']} MB", file=sys.stderr)
-    runs = {"run_wide": ("planted", *WIDE, core.TIES_DROP_ALL),  # the arguments of each run_child layer
-            "run_wide_large": ("planted", SIZES[-1], WIDE[1], core.TIES_DROP_ALL),
-            "run_pgp2": ("pgp2", PGP2_N, 20, core.TIES_PGP2)}
-    for name, (codes, n, m, tie_policy) in runs.items():
-        runs[name] = {"n": n, "m": m, **bench_runs(run_child, codes, n, m, tie_policy)}
-        print(f"{n} x {m}: {name} {runs[name]['median_s']:.4f} s, peak RSS {runs[name]['peak_rss_mb']} MB",
-              file=sys.stderr)
+    shapes = {"run_wide": ("planted", *WIDE, core.TIES_DROP_ALL),  # the arguments of each run_child layer
+              "run_wide_large": ("planted", SIZES[-1], WIDE[1], core.TIES_DROP_ALL),
+              "run_pgp2": ("pgp2", PGP2_N, 20, core.TIES_PGP2)}
+    runs = bench_table("run()", {name: (run_child, *shape) for name, shape in shapes.items()})
     report = {
         "data": {"features": FEATURES, "categories": CATEGORIES, "prototypes": PROTOTYPES, "noise": NOISE,
                  "seed": SEED},
         "repeats": REPEATS,
         "machine": {"platform": platform.platform(), "processor": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__, "mbclust": mbclust.__version__},
-        "import": import_layer,
-        "sizes": results,
+        "import": imported,
+        "sizes": sizes,
         "similarity": similarity,
-        **runs,
+        **{name: {"n": shapes[name][1], "m": shapes[name][2], **layer} for name, layer in runs.items()},
         "source_lines": source_lines(),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

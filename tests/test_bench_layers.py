@@ -2,7 +2,7 @@
 
 The full bench takes minutes, so a broken child would otherwise show only
 when someone runs it. ``main()`` runs here at tiny sizes with one run per
-layer, and each child layer is one fresh process per run, as in the bench.
+layer, and each layer is one fresh process per run, as in the bench.
 """
 
 import hashlib
@@ -33,10 +33,12 @@ def test_main_at_tiny_sizes_reports_every_layer(bench_layers, tmp_path, monkeypa
     report = json.loads((tmp_path / "bench.json").read_text())
     assert list(report) == ["data", "repeats", "machine", "import", "sizes", "similarity", "run_wide",
                             "run_wide_large", "run_pgp2", "source_lines"]
-    assert set(report["import"]) == {"min_s", "median_s"} and report["import"]["min_s"] > 0
+    assert set(report["import"]) == {"min_s", "median_s", "peak_rss_mb"} and report["import"]["min_s"] > 0
     [size] = report["sizes"]
+    assert list(size) == ["n", "iterations", "clusters", "layers"]  # no peak_rss_mb_so_far
     assert list(size["layers"]) == ["load_csv", "importance", "run", "to_json", "to_newick", "to_dict", "contingency",
                                     "cli_cluster", "cli_dendrogram"]
+    assert all({"min_s", "median_s", "peak_rss_mb", "sha256"} <= set(layer) for layer in size["layers"].values())
     assert list(size["layers"]["cli_cluster"]["sha256"]) == ["clusters.json", "dendrogram.json", "tree.nwk",
                                                             "trace.json"]  # no manifest: it holds seconds
     [similarity] = report["similarity"]
@@ -57,6 +59,38 @@ def test_import_child_imports_nothing_before_its_clock(bench_layers):
     proc = subprocess.run([sys.executable, "-c", probe, str(bench_layers.SRC)], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_layer_reports_its_peak_and_shows_a_failing_import(bench_layers, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_layers, "REPEATS", 1)
+    layer = bench_layers.bench_import()
+    assert set(layer) == {"min_s", "median_s", "peak_rss_mb"} and layer["peak_rss_mb"] > 0
+    (tmp_path / "mbclust").mkdir()
+    (tmp_path / "mbclust" / "__init__.py").write_text("raise ImportError('planted import failure')\n")
+    monkeypatch.setattr(bench_layers, "SRC", tmp_path)
+    with pytest.raises(RuntimeError, match="planted import failure"):
+        bench_layers.bench_import()
+
+
+def test_library_children_report_their_keys_and_agree_with_the_cli(bench_layers, tmp_path):
+    csv_path = tmp_path / "planted.csv"
+    bench_layers.planted_csv(csv_path, 300, bench_layers.SEED)
+    digests = {}
+    for layer in bench_layers.LIBRARY_LAYERS:
+        runs = [bench_layers.child(bench_layers.library_child, str(csv_path), layer) for _ in range(2)]
+        counts = {"iterations", "clusters"} if layer == "run" else set()
+        for run in runs:
+            assert set(run) == {"seconds", "peak_rss_mb", "sha256"} | counts
+            assert run.pop("seconds") > 0 and run.pop("peak_rss_mb") > 0
+        assert runs[0] == runs[1], layer
+        digests[layer] = runs[0]["sha256"]
+    outputs = [tmp_path / "clusters.json", tmp_path / "dendrogram.json", tmp_path / "tree.nwk"]
+    argv = ["cluster", str(csv_path), "--label-column", "label", "--out", str(outputs[0]), "--dendrogram-out",
+            str(outputs[1]), "--newick-out", str(outputs[2])]
+    bench_layers.child(bench_layers.commands_child, [argv], [str(path) for path in outputs])
+    for layer, path in (("to_json", outputs[1]), ("to_newick", outputs[2])):
+        text = path.read_bytes()  # the CLI ends each file with a newline that the writer's text lacks
+        assert text.endswith(b"\n") and digests[layer] == hashlib.sha256(text[:-1]).hexdigest()
 
 
 def test_bench_runs_raises_when_runs_disagree(bench_layers, monkeypatch):
